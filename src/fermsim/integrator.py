@@ -1,23 +1,42 @@
-"""Implicit trapezoidal time stepping with a full Newton solve per step.
+"""Implicit trapezoidal time stepping with a simplified Newton solve per step.
 
 The stepper is generic: it works on plain numpy vectors given callables
 f(t, y) and J(t, y).  The nonlinear equation per step is
 
     g(y) = y - y_n - h/2 * (f(t_{n+1}, y) + f(t_n, y_n)) = 0
 
-solved by Newton's method with iteration matrix I - (h/2) * J, dense LU
-via numpy.linalg.solve, initial guess y_n, max-norm residual test.
+solved to max|g| <= tolerance by simplified Newton (Hairer & Wanner,
+*Solving ODEs II*, IV.8).  The iteration matrix I - (h/2) J is inverted
+with numpy.linalg.solve and the inverse is applied by a matrix-vector
+product, frozen across iterations and across steps.  It is rebuilt at the
+current iterate at the first step, when h changes, and whenever one
+iteration shrinks max|g| by less than the factor THETA_MAX.  Each step
+starts from the explicit Euler predictor y_n + h f(t_n, y_n), and f at the
+accepted iterate is the next step's f(t_n, y_n).
+
+A step whose iteration diverges with a matrix carried over from an earlier
+step, reaches a non-finite residual, hits a singular matrix or makes f or
+J raise NumericsError or DomainError starts over once from y_n with a
+matrix built there, the start of a full Newton iteration.  If that fails
+as well, or max_iterations updates pass, the step raises StepFailure.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, StepFailure
+from .errors import ConfigError, DomainError, NumericsError, StepFailure
 from .grid import MassGrid
 from .kinetics import KineticParams, TemperatureProfile, growth_tilde_eps
+
+#: Rebuild the iteration matrix when one iteration shrinks max|g| by less
+#: than this factor (the RADAU5 default).
+THETA_MAX = 1e-3
+
+_STEP_ERRORS = (NumericsError, DomainError, np.linalg.LinAlgError)
 
 
 @dataclass(frozen=True)
@@ -49,36 +68,89 @@ class Trajectory:
     failure: str = None
 
 
+class StepState:
+    """What one step hands to the next of the same march.
+
+    ``inverse`` is the frozen inverse of I - (h/2) J, built for step size
+    ``h``; ``f`` is f at the last accepted iterate, i.e. the next step's
+    f(t_n, y_n).
+    """
+
+    def __init__(self):
+        self.inverse = None
+        self.h = None
+        self.f = None
+
+    def rebuild(self, jac, t: float, y: np.ndarray, h: float) -> None:
+        self.inverse = None  # drop the old inverse before building the new one
+        A = -0.5 * h * np.asarray(jac(t, y), dtype=float)
+        A.flat[::len(A) + 1] += 1.0
+        self.inverse = np.linalg.solve(A, np.identity(len(A)))
+        self.h = h
+
+
 def trapezoid_step(y_n: np.ndarray, t_n: float, h: float, f, jac,
-                   cfg: NewtonConfig = NewtonConfig()):
-    """Advance one implicit trapezoidal step; returns (y_{n+1}, StepRecord)."""
+                   cfg: NewtonConfig = NewtonConfig(), *, t1: float = None,
+                   state: StepState = None):
+    """Advance one implicit trapezoidal step; returns (y_{n+1}, StepRecord).
+
+    ``t1`` is the stage time (default ``t_n + h``).  ``state`` is the
+    StepState left by the step that accepted ``y_n``, or None; it is
+    updated in place.
+    """
     if h <= 0:
         raise ConfigError("step size must be > 0")
     y_n = np.asarray(y_n, dtype=float)
-    t1 = t_n + h
-    f_n = np.asarray(f(t_n, y_n), dtype=float)
-    y = y_n.copy()
-    updates = 0
+    t1 = t_n + h if t1 is None else t1
+    state = StepState() if state is None else state
+    if state.h != h:
+        state.inverse = None
+    updates, res, res_prev = 0, math.inf, None
+
+    def failed(message):
+        rec = StepRecord(t=t1, newton_iterations=updates, residual_norm=res,
+                         converged=False)
+        return StepFailure(message, record=rec)
+
+    try:
+        f_n = state.f if state.f is not None else np.asarray(f(t_n, y_n), dtype=float)
+        y = y_n + h * f_n
+    except _STEP_ERRORS as exc:
+        raise failed(f"step failed at t={t1}: {exc}") from exc
+    stale = state.inverse is not None
+    restarted = False
     while True:
-        g = y - y_n - 0.5 * h * (np.asarray(f(t1, y), dtype=float) + f_n)
-        res = float(np.max(np.abs(g)))
-        if res <= cfg.tolerance:
-            return y, StepRecord(t=t1, newton_iterations=max(updates, 1),
-                                 residual_norm=res, converged=True)
-        if updates >= cfg.max_iterations:
-            rec = StepRecord(t=t1, newton_iterations=updates,
-                             residual_norm=res, converged=False)
-            raise StepFailure(
-                f"Newton failed at t={t1}: residual {res:.3e} after {updates} iterations",
-                record=rec)
-        A = np.eye(len(y)) - 0.5 * h * np.asarray(jac(t1, y), dtype=float)
         try:
-            dy = np.linalg.solve(A, g)
-        except np.linalg.LinAlgError as exc:
-            rec = StepRecord(t=t1, newton_iterations=updates,
-                             residual_norm=res, converged=False)
-            raise StepFailure(f"singular Newton matrix at t={t1}: {exc}", record=rec)
-        y = y - dy
+            f1 = np.asarray(f(t1, y), dtype=float)
+            g = y - y_n - 0.5 * h * (f1 + f_n)
+            res = float(np.abs(g).max())
+            if res <= cfg.tolerance:
+                state.f = f1
+                return y, StepRecord(t=t1, newton_iterations=max(updates, 1),
+                                     residual_norm=res, converged=True)
+            if updates >= cfg.max_iterations:
+                raise failed(f"Newton failed at t={t1}: residual {res:.3e} "
+                             f"after {updates} iterations")
+            if not math.isfinite(res):
+                raise NumericsError(f"non-finite Newton residual after {updates} iterations")
+            if res_prev is not None and res > THETA_MAX * res_prev:
+                if stale and res >= res_prev:
+                    raise NumericsError(f"Newton iteration diverged: residual {res:.3e}")
+                state.rebuild(jac, t1, y, h)
+                stale = False
+            elif state.inverse is None:
+                state.rebuild(jac, t1, y, h)
+        except _STEP_ERRORS as exc:
+            if restarted:
+                what = ("singular Newton matrix" if isinstance(exc, np.linalg.LinAlgError)
+                        else "step failed")
+                raise failed(f"{what} at t={t1}: {exc}") from exc
+            restarted, stale, res_prev = True, False, None
+            state.inverse = None
+            y = y_n.copy()
+            continue
+        y = y - state.inverse @ g
+        res_prev = res
         updates += 1
 
 
@@ -86,8 +158,10 @@ def integrate(f, jac, y0: np.ndarray, t_final: float, h: float,
               cfg: NewtonConfig = NewtonConfig(), callback=None) -> Trajectory:
     """Fixed-step march over [0, t_final]; aborts cleanly on step failure.
 
-    ``callback(step_index, t, y)`` is invoked after every accepted step
-    (and once for the initial state).
+    Stage times come from the same ``times`` array the trajectory holds,
+    so the last stage is exactly ``t_final``.  ``callback(step_index, t,
+    y)`` is invoked after every accepted step (and once for the initial
+    state).
     """
     y0 = np.asarray(y0, dtype=float)
     if t_final < 0:
@@ -103,10 +177,11 @@ def integrate(f, jac, y0: np.ndarray, t_final: float, h: float,
     records = []
     if callback is not None:
         callback(0, 0.0, y0)
+    state = StepState()
     for k in range(n_steps):
-        t_n = k * h
         try:
-            y_new, rec = trapezoid_step(states[k], t_n, h, f, jac, cfg)
+            y_new, rec = trapezoid_step(states[k], times[k], h, f, jac, cfg,
+                                        t1=times[k + 1], state=state)
         except StepFailure as exc:
             return Trajectory(times=times[:k + 1], states=states[:k + 1],
                               records=records, completed=False, failure=str(exc))

@@ -141,6 +141,16 @@ def test_ode_model_has_no_snapshots(tmp_path):
     assert not list(out.glob("density_*"))
 
 
+def test_ode_model_coarse_step_reaches_final_time(tmp_path):
+    # t_n + h accumulated at dt = 0.1 used to overshoot t_final = 20
+    out = tmp_path / "ode_coarse"
+    assert main(["simulate", "--config", write(tmp_path, ""), "--model", "ode",
+                 "--dt", "0.1", "--output-dir", str(out)]) == 0
+    _, data = read_csv(out / "trajectory.csv")
+    assert data.shape[0] == 201
+    assert data[-1, 0] == 20.0
+
+
 def test_cli_flags_override_config(tmp_path):
     cfg = write(tmp_path, SHORT)
     out = tmp_path / "flags"

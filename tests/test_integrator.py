@@ -1,10 +1,11 @@
 import numpy as np
 import pytest
 
-from fermsim import (ConfigError, KineticParams, NewtonConfig, StepFailure,
-                     build_grid, integrate, suggest_dt)
+from fermsim import (ConfigError, DistributionSpec, DomainError, KineticParams,
+                     NewtonConfig, NumericsError, StepFailure,
+                     build_initial_density, build_grid, integrate, suggest_dt)
 from fermsim.integrator import trapezoid_step
-from fermsim.system import SystemState
+from fermsim.system import SystemState, jacobian_vector, rhs_vector
 
 
 def linear_system():
@@ -113,3 +114,109 @@ def test_suggest_dt_zero_velocity_cap(kp, profile):
     grid = build_grid(0.001, 0.999, 150)
     bound = SystemState(w=np.zeros(150), N=0.0, E=0.0, S=0.0, O=0.0)
     assert suggest_dt(grid, kp, profile, bound, cfl=1.0, cap=0.1) == 0.1
+
+
+# --- stage times and the exit-code contract -----------------------------------
+
+# Step sizes 1/k (k = 10 .. 400) at which t_n + h with t_n = (n - 1) h
+# overshoots t_final = 20 in floating point.  Marching all 391 step sizes
+# would take 1.6 million steps, too many for this suite; at the others the
+# last stage time cannot leave [0, 20].
+OVERSHOOT_K = [k for k in range(10, 401)
+               if (20 * k - 1) * (1.0 / k) + 1.0 / k > 20.0]
+
+
+def test_stage_times_stay_inside_horizon():
+    assert len(OVERSHOOT_K) == 44
+    seen = []
+    zero = np.zeros(1)
+
+    def f(t, y):
+        seen.append(t)
+        return zero
+
+    jac = lambda t, y: np.zeros((1, 1))
+    for k in OVERSHOOT_K:
+        seen.clear()
+        traj = integrate(f, jac, np.ones(1), 20.0, 1.0 / k)
+        assert traj.completed
+        assert 0.0 <= min(seen) and max(seen) <= 20.0, k
+        assert traj.times[-1] == 20.0
+
+
+@pytest.mark.parametrize("error", [NumericsError, DomainError])
+def test_model_errors_inside_a_step_end_the_run_cleanly(error):
+    def f(t, y):
+        if not np.all(np.isfinite(y)):
+            raise error(f"non-finite state at t={t}")
+        return y ** 2
+
+    jac = lambda t, y: np.diag(2.0 * y)
+    with np.errstate(over="ignore", invalid="ignore"):
+        traj = integrate(f, jac, np.array([1e200]), 1.0, 0.5)
+    assert not traj.completed
+    assert "non-finite" in traj.failure
+    assert len(traj.states) == len(traj.times) == 1
+
+
+# --- the simplified Newton scheme ---------------------------------------------
+
+def op30_problem(op30, kp, profile):
+    w0 = build_initial_density(DistributionSpec(), op30.grid) / 1e6
+    y0 = np.concatenate([w0, [0.4, 0.0, 193.0, 0.012]])
+    f = lambda t, y: rhs_vector(t, y, op30, kp, profile)
+    jac = lambda t, y: jacobian_vector(t, y, op30, kp, profile)
+    return f, jac, y0
+
+
+def test_every_accepted_step_solves_the_trapezoid_equation(op30, kp, profile):
+    f, jac, y0 = op30_problem(op30, kp, profile)
+    h = 1.0 / 192.0
+    traj = integrate(f, jac, y0, 1.0, h)
+    assert traj.completed
+    t, y = traj.times, traj.states
+    for k in range(len(t) - 1):
+        g = y[k + 1] - y[k] - 0.5 * h * (f(t[k + 1], y[k + 1]) + f(t[k], y[k]))
+        assert np.max(np.abs(g)) <= 1e-10, t[k + 1]
+
+
+def test_iteration_matrix_is_reused_across_steps(op30, kp, profile):
+    f, jac, y0 = op30_problem(op30, kp, profile)
+    calls = {"f": 0, "jac": 0}
+
+    def counted(name, fn):
+        def wrapper(t, y):
+            calls[name] += 1
+            return fn(t, y)
+        return wrapper
+
+    traj = integrate(counted("f", f), counted("jac", jac), y0, 1.0, 1.0 / 192.0)
+    steps = len(traj.records)
+    assert traj.completed and steps == 192
+    assert 1 <= calls["jac"] <= steps // 10
+    # f(t_n, y_n) is the previous step's accepted evaluation: one call per
+    # Newton update plus one per step, plus f(0, y0)
+    updates = sum(r.newton_iterations for r in traj.records)
+    assert calls["f"] == 1 + steps + updates
+
+
+@pytest.mark.parametrize("a_late", [1.5, 50.0])
+def test_sharp_jacobian_change_rebuilds_the_matrix(a_late):
+    # y' = -a(t) y with a jump in a at t = 1: the carried matrix contracts
+    # slowly (a_late = 1.5) or diverges (a_late = 50) after the jump
+    a = lambda t: 1.0 if t <= 1.0 else a_late
+    jac_times = []
+
+    def jac(t, y):
+        jac_times.append(t)
+        return np.array([[-a(t)]])
+
+    h = 0.1
+    traj = integrate(lambda t, y: -a(t) * y, jac, np.array([1.0]), 2.0, h)
+    assert traj.completed
+    assert all(r.converged for r in traj.records)
+    assert any(t > 1.0 for t in jac_times)
+    expected = 1.0
+    for t0, t1 in zip(traj.times[:-1], traj.times[1:]):
+        expected *= (1.0 - 0.5 * h * a(t0)) / (1.0 + 0.5 * h * a(t1))
+    assert traj.states[-1, 0] == pytest.approx(expected, rel=1e-9)
