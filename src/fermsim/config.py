@@ -76,8 +76,8 @@ class SimulationConfig:
             raise ConfigError("dt must be > 0")
         if self.t_final <= 0:
             raise ConfigError("t_final must be > 0")
-        if self.n_quad < 1:
-            raise ConfigError("n_quad must be >= 1")
+        if self.n_quad < 2:
+            raise ConfigError("n_quad must be >= 2")
         for t in self.snapshot_times:
             if not 0.0 <= t <= self.t_final:
                 raise ConfigError(

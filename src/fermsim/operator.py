@@ -2,7 +2,30 @@
 
 K[i, j] is the double integral of p(m, m') * Gamma(m') over cell_i x cell_j,
 gamma_int[i] the integral of Gamma over cell_i; both via the composite
-trapezoidal rule (tensor-product in the 2D case).
+trapezoidal rule (tensor-product in the 2D case) on the nodes of
+``_cell_nodes_weights``.
+
+The assembly uses the structure of the kernel instead of evaluating p at
+every daughter node against every mother node.  With g[j, b] =
+Gamma(m'_jb) * w_b (zero at and below m_t, so the m' > m_t condition of p
+adds nothing), K splits into three regions:
+
+* i >= j + 2: every daughter node lies above every mother node, so
+  p = 0 and K[i, j] = 0.
+* j >= i + 2: every mother node lies above every daughter node, so
+  p = lam * (E1(m) + E2(m - m' + m_t)) with E1(x) = exp(-beta (x - m_t)^2)
+  and E2(x) = exp(-beta x^2), and
+
+      K[i, j] = lam * (e1[i] * gamma_int[j] + sum_b T[j - i, b] * g[j, b])
+
+  with e1[i] = sum_a w_a E1(m_ia).  On the uniform grid
+  m_ia - m'_jb + m_t = m_t - k dm + (r_a - r_b) dm for k = j - i, so T is a
+  (C, q+1) table and the region costs O(C q^2) exponentials plus one
+  matrix-vector product per column.
+* |i - j| <= 1: p is evaluated directly on the same node arrays.  Here
+  daughter and mother nodes coincide at shared cell edges, where round-off
+  in the node positions decides m' > m; evaluating p on the very same
+  floats keeps those decisions, and with them the zero pattern of K.
 """
 
 from __future__ import annotations
@@ -40,15 +63,30 @@ def assemble_operator(grid: MassGrid, d: DivisionParams, n_quad: int = 30) -> Di
         raise ConfigError("n_quad must be >= 2")
     nodes, wq = _cell_nodes_weights(grid, n_quad)
     C = grid.n_cells
+    rel = np.linspace(0.0, 1.0, n_quad + 1)
+    k_dm = np.arange(C)[:, None] * grid.dm           # (C, 1), k dm for k = j - i
 
-    gamma_nodes = division_rate(d, nodes)          # (C, q+1)
-    gamma_int = gamma_nodes @ wq                   # (C,)
+    gamma_nodes = division_rate(d, nodes)            # (C, q+1)
+    gamma_int = gamma_nodes @ wq                     # (C,)
+    g = gamma_nodes * wq                             # (C, q+1)
+    e1 = np.exp(-d.beta * (nodes - d.m_t) ** 2) @ wq  # (C,)
 
-    m_flat = nodes.reshape(-1)                     # (C*(q+1),)
-    K = np.empty((C, C))
-    for j in range(C):
-        # inner: integrate p(m, m') Gamma(m') over cell j for every m node
-        pk = partition(d, m_flat[:, None], nodes[j][None, :])
-        inner = pk @ (gamma_nodes[j] * wq)         # (C*(q+1),)
-        K[:, j] = inner.reshape(C, -1) @ wq
+    T = np.zeros((C, n_quad + 1))
+    diag = np.zeros(C)
+    upper = np.zeros(C - 1)                          # K[i, i + 1]
+    lower = np.zeros(C - 1)                          # K[i + 1, i]
+    for a in range(n_quad + 1):
+        m = nodes[:, a:a + 1]                        # daughter node a of every cell
+        shift = d.m_t + (rel[a] - rel) * grid.dm     # (q+1,)
+        T += wq[a] * np.exp(-d.beta * (shift - k_dm) ** 2)
+        diag += wq[a] * np.einsum("ib,ib->i", partition(d, m, nodes), g)
+        upper += wq[a] * np.einsum("ib,ib->i", partition(d, m[:-1], nodes[1:]), g[1:])
+        lower += wq[a] * np.einsum("ib,ib->i", partition(d, m[1:], nodes[:-1]), g[:-1])
+
+    K = np.zeros((C, C))
+    for j in range(2, C):                            # rows i = 0 .. j-2, k = j .. 2
+        K[:j - 1, j] = d.lam * (e1[:j - 1] * gamma_int[j] + T[j:1:-1] @ g[j])
+    np.fill_diagonal(K, diag)
+    np.fill_diagonal(K[:, 1:], upper)
+    np.fill_diagonal(K[1:], lower)
     return DiscreteOperator(K=K, gamma_int=gamma_int, grid=grid, n_quad=n_quad)

@@ -177,6 +177,39 @@ def check_kernel_refinement(n_cells: int = 30, n_quad: int = 30) -> OracleReport
     return OracleReport("kernel_quadrature_refinement_rel_dev", float(dev.max()), 1e-4)
 
 
+#: (i, j) samples of the 30-cell kernel: far above the diagonal, on the
+#: three central diagonals (around the transition mass and the top cell),
+#: and far below the diagonal, where K vanishes.
+_KERNEL_SAMPLES = (
+    (0, 29), (2, 14), (5, 20), (11, 13), (12, 25), (13, 15), (16, 27), (20, 29),
+    (11, 11), (11, 12), (12, 11), (12, 12), (12, 13), (13, 12),
+    (20, 20), (20, 21), (21, 20), (28, 28), (28, 29), (29, 28),
+    (14, 11), (20, 12), (25, 23), (29, 0),
+)
+
+
+def check_kernel_entries(n_quad: int = 30) -> OracleReport:
+    """Sampled K entries vs scalar double quadrature, max |dK| / max |K|.
+
+    The samples cover each region the assembly computes differently.
+    """
+    grid = build_grid(0.001, 0.999, 30)
+    dp = DivisionParams()
+    K = assemble_operator(grid, dp, n_quad).K
+
+    def entry(i, j):
+        def inner(m):
+            return quadrature_oracle(
+                lambda mp: float(partition(dp, np.asarray(m), np.asarray(mp))
+                                 * division_rate(dp, np.asarray(mp))),
+                grid.edges[j], grid.edges[j + 1], n_quad)
+        return quadrature_oracle(inner, grid.edges[i], grid.edges[i + 1], n_quad)
+
+    worst = max(abs(entry(i, j) - K[i, j]) for i, j in _KERNEL_SAMPLES)
+    return OracleReport("kernel_entries_vs_scalar_quadrature_rel_dev",
+                        worst / float(np.max(np.abs(K))), 1e-12)
+
+
 def check_division_biomass_balance(n_cells: int = 150, n_quad: int = 30) -> OracleReport:
     """Discrete biomass balance of division: daughters carry the mother mass."""
     grid = build_grid(0.001, 0.999, n_cells)
@@ -246,6 +279,7 @@ def run_all(include_slow: bool = True) -> list:
     reports += moment_checks()
     reports.append(check_kernel_row_sums())
     reports.append(check_kernel_refinement())
+    reports.append(check_kernel_entries())
     reports.append(check_jacobian())
     if include_slow:
         reports.append(check_trajectory_positivity())

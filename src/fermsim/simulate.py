@@ -43,10 +43,11 @@ def _fmt(value: float) -> str:
 
 
 def _write_csv(path: str, header, rows) -> None:
+    """Write ``header`` and the 2-D array ``rows``, values as ``_fmt`` gives them."""
+    line = ",".join(["%.17g"] * len(header)) + "\n"
     with open(path, "w", encoding="utf-8", newline="\n") as handle:
         handle.write(",".join(header) + "\n")
-        for row in rows:
-            handle.write(",".join(_fmt(v) for v in row) + "\n")
+        handle.writelines(line % tuple(row.tolist()) for row in rows)
 
 
 def read_csv(path: str):

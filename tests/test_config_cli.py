@@ -99,6 +99,22 @@ def test_apply_overrides_preserves_other_fields():
     assert config.dt == default_config().dt
 
 
+# --- CSV output --------------------------------------------------------------
+
+def test_csv_writer_matches_per_value_formatting(tmp_path):
+    from fermsim.simulate import _write_csv
+    rng = np.random.default_rng(3)
+    rows = rng.standard_normal((3841, 8)) * 10.0 ** rng.integers(-300, 301, (3841, 8))
+    rows[0] = [np.inf, -np.inf, np.nan, -0.0, 0.0, 5e-324, 2.2250738585072009e-308, 1e300]
+    rows[1] = [-1e-300, 1.7976931348623157e308, 1.0 / 3.0, 1e16, 123456789.0, 0.1, -2.5, 3]
+    header = ["a", "b", "c", "d", "e", "f", "g", "h"]
+    path = tmp_path / "rows.csv"
+    _write_csv(str(path), header, rows)
+    expected = ",".join(header) + "\n" + "".join(
+        ",".join(f"{v:.17g}" for v in row) + "\n" for row in rows)
+    assert path.read_bytes() == expected.encode("utf-8")
+
+
 # --- CLI ---------------------------------------------------------------------
 
 SHORT = "t_final = 1\ndt = 0.0625\nsnapshot_times = 0, 0.5, 1\ngrid.n_cells = 20\n"
@@ -166,6 +182,14 @@ def test_config_error_exit_code(tmp_path, capsys):
     cfg = write(tmp_path, "no_such_key = 1\n")
     assert main(["simulate", "--config", cfg]) == 1
     assert "configuration error" in capsys.readouterr().err
+
+
+def test_tiny_quadrature_is_config_error_before_output(tmp_path, capsys):
+    out = tmp_path / "never"
+    cfg = write(tmp_path, SHORT + "n_quad = 1\n")
+    assert main(["simulate", "--config", cfg, "--output-dir", str(out)]) == 1
+    assert "n_quad must be >= 2" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_missing_config_exit_code(tmp_path):

@@ -77,3 +77,44 @@ def test_kernel_entry_matches_scalar_double_quadrature(op30, dp):
 def test_operator_rejects_tiny_quadrature(grid30, dp):
     with pytest.raises(ConfigError):
         assemble_operator(grid30, dp, 1)
+
+
+def _reference_assembly(grid, d, n_quad):
+    """Column-by-column assembly evaluating p at every node pair."""
+    from fermsim import division_rate, partition
+    from fermsim.operator import _cell_nodes_weights
+    nodes, wq = _cell_nodes_weights(grid, n_quad)
+    C = grid.n_cells
+    gamma_nodes = division_rate(d, nodes)
+    gamma_int = gamma_nodes @ wq
+    m_flat = nodes.reshape(-1)
+    K = np.empty((C, C))
+    for j in range(C):
+        pk = partition(d, m_flat[:, None], nodes[j][None, :])
+        inner = pk @ (gamma_nodes[j] * wq)
+        K[:, j] = inner.reshape(C, -1) @ wq
+    return K, gamma_int
+
+
+@pytest.mark.parametrize("grid_args, division, n_quad, sub_nonzeros", [
+    ((0.001, 0.999, 3), {}, 2, None),
+    ((0.001, 0.999, 30), {}, 30, None),
+    ((0.001, 0.999, 60), {}, 30, 14),
+    ((0.001, 0.999, 150), {}, 30, None),
+    ((0.0, 1.0, 97), {"m_t": 0.2, "beta": 150.0}, 11, None),
+    ((0.05, 2.0, 120), {"lam": 3.0}, 30, None),
+], ids=["3cells_q2", "30cells", "60cells", "150cells", "97cells_q11", "120cells_lam"])
+def test_structured_assembly_matches_reference(grid_args, division, n_quad, sub_nonzeros):
+    from fermsim import DivisionParams
+    grid = build_grid(*grid_args)
+    d = DivisionParams(**division)
+    K_ref, gamma_ref = _reference_assembly(grid, d, n_quad)
+    op = assemble_operator(grid, d, n_quad)
+    scale = np.max(np.abs(K_ref))
+    assert np.max(np.abs(op.K - K_ref)) <= 1e-13 * scale
+    assert np.array_equal(op.K == 0.0, K_ref == 0.0)
+    assert np.all(np.tril(op.K, -2) == 0.0)
+    assert np.array_equal(op.gamma_int, gamma_ref)
+    if sub_nonzeros is not None:
+        # sub-diagonal entries decided by round-off at coincident cell-edge nodes
+        assert np.count_nonzero(np.diag(op.K, -1)) == sub_nonzeros

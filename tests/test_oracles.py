@@ -1,7 +1,8 @@
 import pytest
 
 from fermsim.oracles import (OracleReport, check_division_biomass_balance,
-                             check_jacobian, check_kernel_refinement,
+                             check_jacobian, check_kernel_entries,
+                             check_kernel_refinement,
                              check_kernel_row_sums, check_lambda,
                              check_mass_scaling, check_partition_normalization,
                              check_partition_symmetry, quadrature_oracle,
@@ -34,6 +35,7 @@ def test_quadrature_rejects_bad_subdivision():
 def test_individual_checks_pass():
     reports = [check_lambda(), check_partition_symmetry(),
                check_kernel_row_sums(), check_kernel_refinement(),
+               check_kernel_entries(),
                check_division_biomass_balance(n_cells=60),
                check_jacobian(n_cells=20, n_states=3)]
     reports += check_mass_scaling()
