@@ -17,8 +17,8 @@ import itertools
 
 import numpy as np
 
-from fermsim import (KineticParams, NewtonConfig, OdeState,
-                     TemperatureProfile, default_config, run_ode)
+from fermsim import (KineticParams, NewtonConfig, TemperatureProfile,
+                     default_config, run_ode)
 from fermsim import simulate as sim
 
 TARGETS = {"S": 18.0, "E": 99.0, "N": 0.019}
@@ -28,8 +28,6 @@ S0_GRID = (188.0, 193.0, 198.0)
 O0_GRID = (0.008, 0.012, 0.016)
 K2_GRID = (1.80, 1.86, 1.90)
 K3_GRID = (0.003,)
-
-X0 = 0.5  # g/l; first moment of the constant distribution at 1e6 cells/ml
 
 
 def score(finals):
@@ -44,11 +42,12 @@ def main():
     args = parser.parse_args()
 
     profile = TemperatureProfile()
+    X0 = sim.initial_biomass(default_config())  # g/l, moment-matched to the IDE run
     candidates = []
     for N0, S0, O0, k2, k3 in itertools.product(N0_GRID, S0_GRID, O0_GRID,
                                                 K2_GRID, K3_GRID):
         kp = KineticParams(k2=k2, k3=k3)
-        traj = run_ode(OdeState(X=X0, N=N0, E=0.0, S=S0, O=O0),
+        traj = run_ode(np.array([X0, N0, 0.0, S0, O0]),
                        20.0, 1.0 / 96.0, kp, profile, NewtonConfig())
         if not traj.completed:
             continue

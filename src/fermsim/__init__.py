@@ -15,26 +15,25 @@ from .distributions import DistributionSpec, build_initial_density
 from .errors import (ConfigError, DomainError, IntegrationFailure,
                      ModelValidityError, NumericsError, StepFailure)
 from .grid import MassGrid, build_grid
-from .integrator import NewtonConfig, Trajectory, integrate, suggest_dt
+from .integrator import NewtonConfig, Trajectory, integrate
 from .kinetics import (DivisionParams, KineticParams, TemperatureProfile,
                        compute_lambda, division_rate, normalize_mass,
-                       partition, temperature)
+                       partition, rate_factors, temperature)
 from .operator import DiscreteOperator, assemble_operator
-from .reduced import OdeState, run_ode
+from .reduced import run_ode
 from .simulate import RunResult, compare, run
-from .system import SystemState, jacobian, jacobian_vector, rhs, rhs_vector
+from .system import jacobian_vector, rhs_vector
 
 __all__ = [
-    "ConfigError", "DiscreteOperator", "DistributionSpec", "DivisionParams",
-    "DomainError", "InitialConcentrations", "IntegrationFailure",
-    "KineticParams", "MassGrid", "ModelValidityError", "NewtonConfig",
-    "NumericsError", "OdeState", "RunResult", "SimulationConfig",
-    "StepFailure", "SystemState", "TemperatureProfile", "Trajectory",
+    "ConfigError", "DiscreteOperator", "DistributionSpec",
+    "DivisionParams", "DomainError", "InitialConcentrations",
+    "IntegrationFailure", "KineticParams", "MassGrid",
+    "ModelValidityError", "NewtonConfig", "NumericsError", "RunResult",
+    "SimulationConfig", "StepFailure", "TemperatureProfile", "Trajectory",
     "assemble_operator", "build_grid", "build_initial_density", "compare",
     "compute_lambda", "default_config", "division_rate", "integrate",
-    "jacobian", "jacobian_vector", "load_config", "normalize_mass",
-    "partition", "rhs", "rhs_vector", "run", "run_ode", "suggest_dt",
-    "temperature",
+    "jacobian_vector", "load_config", "normalize_mass", "partition",
+    "rate_factors", "rhs_vector", "run", "run_ode", "temperature",
 ]
 
 __version__ = "0.1.0"

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field, fields, replace
 
 from .distributions import KINDS, DistributionSpec
 from .errors import ConfigError
-from .integrator import NewtonConfig
+from .integrator import NewtonConfig, step_count
 from .kinetics import DivisionParams, KineticParams, TemperatureProfile
 
 MODELS = ("ide", "ode")
@@ -76,6 +76,7 @@ class SimulationConfig:
             raise ConfigError("dt must be > 0")
         if self.t_final <= 0:
             raise ConfigError("t_final must be > 0")
+        step_count(self.t_final, self.dt)
         if self.n_quad < 2:
             raise ConfigError("n_quad must be >= 2")
         for t in self.snapshot_times:

@@ -29,8 +29,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, DomainError, NumericsError, StepFailure
-from .grid import MassGrid
-from .kinetics import KineticParams, TemperatureProfile, growth_tilde_eps
 
 #: Rebuild the iteration matrix when one iteration shrinks max|g| by less
 #: than this factor (the RADAU5 default).
@@ -154,6 +152,24 @@ def trapezoid_step(y_n: np.ndarray, t_n: float, h: float, f, jac,
         updates += 1
 
 
+def step_count(t_final: float, h: float) -> int:
+    """Number of steps of size ``h`` that march [0, t_final].
+
+    Raises ConfigError unless ``h`` divides ``t_final`` or when a positive
+    ``t_final`` is too short for one step.
+    """
+    if t_final < 0:
+        raise ConfigError("t_final must be >= 0")
+    if t_final == 0:
+        return 0
+    n_steps = int(round(t_final / h))
+    if n_steps == 0:
+        raise ConfigError(f"t_final {t_final} is shorter than half the step size {h}")
+    if abs(n_steps * h - t_final) > 1e-9 * max(1.0, t_final):
+        raise ConfigError(f"step size {h} does not divide t_final {t_final}")
+    return n_steps
+
+
 def integrate(f, jac, y0: np.ndarray, t_final: float, h: float,
               cfg: NewtonConfig = NewtonConfig(), callback=None) -> Trajectory:
     """Fixed-step march over [0, t_final]; aborts cleanly on step failure.
@@ -164,11 +180,7 @@ def integrate(f, jac, y0: np.ndarray, t_final: float, h: float,
     state).
     """
     y0 = np.asarray(y0, dtype=float)
-    if t_final < 0:
-        raise ConfigError("t_final must be >= 0")
-    n_steps = int(round(t_final / h)) if t_final > 0 else 0
-    if t_final > 0 and abs(n_steps * h - t_final) > 1e-9 * max(1.0, t_final):
-        raise ConfigError(f"step size {h} does not divide t_final {t_final}")
+    n_steps = step_count(t_final, h)
 
     states = np.empty((n_steps + 1, len(y0)))
     states[0] = y0
@@ -191,21 +203,3 @@ def integrate(f, jac, y0: np.ndarray, t_final: float, h: float,
             callback(k + 1, times[k + 1], y_new)
     return Trajectory(times=times, states=states, records=records)
 
-
-def suggest_dt(grid: MassGrid, kp: KineticParams, profile: TemperatureProfile,
-               bound_state, cfl: float, cap: float = None) -> float:
-    """CFL-informed step suggestion: cfl * dm / max edge growth velocity.
-
-    Advisory only; the trapezoidal scheme is implicit.  The velocity is
-    maximized over the profile's temperature endpoints at the supplied
-    bounding state.
-    """
-    if not 0.0 < cfl <= 1.0:
-        raise ConfigError("cfl must be in (0, 1]")
-    v_max = 0.0
-    for T in (profile.T_low, profile.T_high):
-        rt = growth_tilde_eps(kp, bound_state.N, bound_state.S, bound_state.O, T)
-        v_max = max(v_max, rt * grid.edges.max())
-    if v_max == 0.0:
-        return cap if cap is not None else profile.t_final / 100.0
-    return cfl * grid.dm / v_max

@@ -154,51 +154,49 @@ def K_E(p: KineticParams, T: float) -> float:
     return val
 
 
-def _check_nonneg(**conc):
-    for name, val in conc.items():
-        if val < 0:
-            raise DomainError(f"{name} = {val} must be >= 0")
+def rate_factors(kp: KineticParams, N, E, S, O, T):
+    """Per-unit-mass rates and their state derivatives at one point.
 
+    The one rate law of both models: ``rt_eps`` is the growth rate with
+    the anaerobic floor eps, ``rt`` the growth rate without it (oxygen
+    uptake), ``qE`` the ethanol accumulation rate; sugar is consumed at
+    k2*qE + k3*rt_eps.  ``drt_eps``/``drt`` hold the N, S, O derivatives.
+    Michaelis factors are evaluated directly (no domain check) so that
+    Newton iterates may transiently leave the physical region.
+    """
+    mu = mu_max(kp, T)
+    bm = beta_max(kp, T)
+    ke = K_E(kp, T)
 
-def growth_tilde_eps(p: KineticParams, N, S, O, T) -> float:
-    """Per-unit-mass single-cell growth rate including the anaerobic floor eps."""
-    _check_nonneg(N=N, S=S, O=O)
-    return (mu_max(p, T) * N / (p.KN + N) * S / (p.KS1 + S)
-            * (O / (p.KO + O) + p.eps))
+    gN = N / (kp.KN + N)
+    gS1 = S / (kp.KS1 + S)
+    gS2 = S / (kp.KS2 + S)
+    gO = O / (kp.KO + O)
+    gKE = ke / (ke + E)
 
+    dgN = kp.KN / (kp.KN + N) ** 2
+    dgS1 = kp.KS1 / (kp.KS1 + S) ** 2
+    dgS2 = kp.KS2 / (kp.KS2 + S) ** 2
+    dgO = kp.KO / (kp.KO + O) ** 2
+    dgKE = -ke / (ke + E) ** 2
 
-def growth_tilde(p: KineticParams, N, S, O, T) -> float:
-    """Per-unit-mass growth rate without the anaerobic floor (oxygen equation)."""
-    _check_nonneg(N=N, S=S, O=O)
-    return mu_max(p, T) * N / (p.KN + N) * S / (p.KS1 + S) * O / (p.KO + O)
+    rt_eps = mu * gN * gS1 * (gO + kp.eps)
+    rt = mu * gN * gS1 * gO
+    qE = bm * gS2 * gKE
 
-
-def growth_rate_eps(p: KineticParams, m, N, S, O, T):
-    """Single-cell growth rate r_eps(m, N, S, O); affine-linear in m."""
-    return growth_tilde_eps(p, N, S, O, T) * m
-
-
-def growth_rate(p: KineticParams, m, N, S, O, T):
-    """Growth rate without eps; r <= r_eps pointwise."""
-    return growth_tilde(p, N, S, O, T) * m
-
-
-def ethanol_tilde(p: KineticParams, S, E, T) -> float:
-    """Per-unit-mass ethanol accumulation rate."""
-    _check_nonneg(S=S, E=E)
-    ke = K_E(p, T)
-    return beta_max(p, T) * S / (p.KS2 + S) * ke / (ke + E)
-
-
-def ethanol_rate(p: KineticParams, m, S, E, T):
-    """Ethanol accumulation rate q_E(m, S, E); proportional to m."""
-    return ethanol_tilde(p, S, E, T) * m
-
-
-def sugar_rate(p: KineticParams, m, N, S, E, O, T):
-    """Sugar consumption rate q = k2*q_E + k3*r_eps."""
-    return (p.k2 * ethanol_rate(p, m, S, E, T)
-            + p.k3 * growth_rate_eps(p, m, N, S, O, T))
+    return {
+        "rt_eps": rt_eps,
+        "rt": rt,
+        "qE": qE,
+        "drt_eps": (mu * dgN * gS1 * (gO + kp.eps),      # d/dN
+                    mu * gN * dgS1 * (gO + kp.eps),      # d/dS
+                    mu * gN * gS1 * dgO),                # d/dO
+        "drt": (mu * dgN * gS1 * gO,
+                mu * gN * dgS1 * gO,
+                mu * gN * gS1 * dgO),
+        "dqE_dS": bm * dgS2 * gKE,
+        "dqE_dE": bm * gS2 * dgKE,
+    }
 
 
 def death_phi(p: KineticParams, E):

@@ -13,12 +13,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .distributions import DistributionSpec, build_initial_density
+from .config import default_config
 from .grid import build_grid
-from .integrator import NewtonConfig, integrate
+from .integrator import integrate
 from .kinetics import (DivisionParams, KineticParams, TemperatureProfile,
                        compute_lambda, division_rate, normalize_mass, partition)
 from .operator import assemble_operator
+from .simulate import setup_ide
 from .system import jacobian_vector, rhs_vector
 
 
@@ -245,21 +246,20 @@ def check_jacobian(n_cells: int = 30, n_states: int = 5, seed: int = 7,
     return OracleReport("jacobian_vs_fd_rel_dev", worst, 1e-5)
 
 
-def check_trajectory_positivity(n_cells: int = 150, dt: float = 1.0 / 192.0,
-                                t_final: float = 20.0) -> OracleReport:
-    """Default 20-day run: number density stays nonnegative up to round-off."""
-    grid = build_grid(0.001, 0.999, n_cells)
-    op = assemble_operator(grid, DivisionParams(), 30)
-    kp = KineticParams()
-    profile = TemperatureProfile()
-    w0 = build_initial_density(DistributionSpec(kind="constant"), grid) / 1e6
-    y0 = np.concatenate([w0, [0.40, 0.0, 193.0, 0.012]])
+def check_trajectory_positivity() -> OracleReport:
+    """The default 20-day run: number density stays nonnegative up to round-off.
+
+    The run is set up by the driver, so it is the run users get.
+    """
+    config = default_config()
+    op, y0 = setup_ide(config)
+    kp, profile = config.kinetic, config.profile
     trajectory = integrate(lambda t, y: rhs_vector(t, y, op, kp, profile),
                            lambda t, y: jacobian_vector(t, y, op, kp, profile),
-                           y0, t_final, dt, NewtonConfig())
+                           y0, config.t_final, config.dt, config.newton)
     if not trajectory.completed:
         return OracleReport("trajectory_positivity", float("inf"), 0.0)
-    w = trajectory.states[:, :n_cells]
+    w = trajectory.states[:, :config.n_cells]
     return OracleReport("trajectory_positivity_neg_fraction",
                         max(0.0, -float(w.min())) / float(w.max()), 1e-9)
 

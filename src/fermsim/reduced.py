@@ -7,32 +7,12 @@ the mother mass, so the closure uses only the kinetic rate functions.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import NumericsError
 from .integrator import NewtonConfig, Trajectory, integrate
-from .kinetics import KineticParams, TemperatureProfile, death_phi, death_phi_prime, temperature
-from .system import _rate_factors
-
-
-@dataclass
-class OdeState:
-    X: float
-    N: float
-    E: float
-    S: float
-    O: float
-    t: float = 0.0
-
-    def to_vector(self) -> np.ndarray:
-        return np.array([self.X, self.N, self.E, self.S, self.O], dtype=float)
-
-    @classmethod
-    def from_vector(cls, y, t: float = 0.0) -> "OdeState":
-        return cls(X=float(y[0]), N=float(y[1]), E=float(y[2]),
-                   S=float(y[3]), O=float(y[4]), t=t)
+from .kinetics import (KineticParams, TemperatureProfile, death_phi, death_phi_prime,
+                       rate_factors, temperature)
 
 
 def ode_rhs_vector(t: float, y: np.ndarray, kp: KineticParams,
@@ -41,7 +21,7 @@ def ode_rhs_vector(t: float, y: np.ndarray, kp: KineticParams,
         raise NumericsError(f"non-finite ODE state at t={t}")
     X, N, E, S, O = y
     T = temperature(profile, t)
-    fac = _rate_factors(kp, N, E, S, O, T)
+    fac = rate_factors(kp, N, E, S, O, T)
     phi = death_phi(kp, E)
     return np.array([
         (fac["rt_eps"] - phi - kp.kd) * X,
@@ -56,7 +36,7 @@ def ode_jacobian_vector(t: float, y: np.ndarray, kp: KineticParams,
                         profile: TemperatureProfile) -> np.ndarray:
     X, N, E, S, O = y
     T = temperature(profile, t)
-    fac = _rate_factors(kp, N, E, S, O, T)
+    fac = rate_factors(kp, N, E, S, O, T)
     phi = death_phi(kp, E)
     dphi = death_phi_prime(kp, E)
     dN, dS, dO = fac["drt_eps"]
@@ -75,13 +55,8 @@ def ode_jacobian_vector(t: float, y: np.ndarray, kp: KineticParams,
     return J
 
 
-def ode_rhs(state: OdeState, kp: KineticParams, profile: TemperatureProfile) -> OdeState:
-    dy = ode_rhs_vector(state.t, state.to_vector(), kp, profile)
-    return OdeState.from_vector(dy, t=state.t)
-
-
-def run_ode(y0: OdeState, t_final: float, h: float, kp: KineticParams,
+def run_ode(y0: np.ndarray, t_final: float, h: float, kp: KineticParams,
             profile: TemperatureProfile, cfg: NewtonConfig = NewtonConfig()) -> Trajectory:
     return integrate(lambda t, y: ode_rhs_vector(t, y, kp, profile),
                      lambda t, y: ode_jacobian_vector(t, y, kp, profile),
-                     y0.to_vector(), t_final, h, cfg)
+                     y0, t_final, h, cfg)

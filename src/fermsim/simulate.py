@@ -20,6 +20,7 @@ from __future__ import annotations
 import math
 import os
 import time
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -31,11 +32,15 @@ from .grid import build_grid
 from .integrator import Trajectory, integrate
 from .kinetics import temperature
 from .operator import assemble_operator
-from .reduced import OdeState, run_ode
+from .reduced import run_ode
 from .system import jacobian_vector, rhs_vector
 
 #: internal density unit, cells/ml
 DENSITY_SCALE = 1.0e6
+
+#: trajectory columns that are not model states; the run summary reports
+#: the final value of every other column and compare skips them
+_NON_STATE = {"t", "T", "newton_iters", "log10_total_cells"}
 
 
 def _fmt(value: float) -> str:
@@ -51,10 +56,21 @@ def _write_csv(path: str, header, rows) -> None:
 
 
 def read_csv(path: str):
-    """Read one of our CSV artifacts -> (header list, float array)."""
-    with open(path, "r", encoding="utf-8") as handle:
-        header = handle.readline().strip().split(",")
-        data = np.loadtxt(handle, delimiter=",", ndmin=2)
+    """Read one of our CSV artifacts -> (header list, float array).
+
+    Raises ConfigError naming the file when it does not hold a header and
+    at least one row of numbers under it.
+    """
+    try:
+        with open(path, "r", encoding="utf-8") as handle, warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # loadtxt warns on a file without rows
+            header = handle.readline().strip().split(",")
+            data = np.loadtxt(handle, delimiter=",", ndmin=2)
+        if data.shape[0] == 0 or data.shape[1] != len(header):
+            raise ValueError(f"expected rows of {len(header)} numbers under the header, "
+                             f"got data of shape {data.shape}")
+    except ValueError as exc:
+        raise ConfigError(f"malformed CSV file {path}: {exc}") from None
     return header, data
 
 
@@ -106,6 +122,15 @@ def _summary_lines(config, trajectory, finals, wall_time):
     return lines
 
 
+def setup_ide(config: SimulationConfig):
+    """Operator and initial state (w, N, E, S, O) of the full model."""
+    grid = build_grid(config.m_min, config.m_max, config.n_cells)
+    op = assemble_operator(grid, config.division, config.n_quad)
+    w0 = build_initial_density(config.distribution, grid) / DENSITY_SCALE
+    ini = config.initial
+    return op, np.concatenate([w0, [ini.N0, ini.E0, ini.S0, ini.O0]])
+
+
 def run(config: SimulationConfig) -> RunResult:
     """Run the configured simulation and write artifacts.
 
@@ -114,91 +139,51 @@ def run(config: SimulationConfig) -> RunResult:
     """
     os.makedirs(config.output_dir, exist_ok=True)
     start = time.perf_counter()
+    kp, profile, ini = config.kinetic, config.profile, config.initial
     if config.model == "ode":
-        result = _run_ode(config, start)
+        y0 = np.array([initial_biomass(config), ini.N0, ini.E0, ini.S0, ini.O0])
+        trajectory = run_ode(y0, config.t_final, config.dt, kp, profile, config.newton)
     else:
-        result = _run_ide(config, start)
-    if not result.trajectory.completed:
-        raise IntegrationFailure(
-            f"integration aborted at t={result.trajectory.times[-1]:g}: "
-            f"{result.trajectory.failure}")
-    return result
-
-
-def _run_ide(config: SimulationConfig, start: float) -> RunResult:
-    grid = build_grid(config.m_min, config.m_max, config.n_cells)
-    op = assemble_operator(grid, config.division, config.n_quad)
-    w0 = build_initial_density(config.distribution, grid) / DENSITY_SCALE
-    ini = config.initial
-    y0 = np.concatenate([w0, [ini.N0, ini.E0, ini.S0, ini.O0]])
-    kp, profile = config.kinetic, config.profile
-
-    trajectory = integrate(
-        lambda t, y: rhs_vector(t, y, op, kp, profile),
-        lambda t, y: jacobian_vector(t, y, op, kp, profile),
-        y0, config.t_final, config.dt, config.newton)
+        op, y0 = setup_ide(config)
+        trajectory = integrate(
+            lambda t, y: rhs_vector(t, y, op, kp, profile),
+            lambda t, y: jacobian_vector(t, y, op, kp, profile),
+            y0, config.t_final, config.dt, config.newton)
     wall = time.perf_counter() - start
 
-    C = config.n_cells
-    times = trajectory.times
-    states = trajectory.states
-    total = DENSITY_SCALE * grid.dm * states[:, :C].sum(axis=1)
-    with np.errstate(divide="ignore"):
-        log_total = np.where(total > 0.0, np.log10(np.maximum(total, 1e-300)), -math.inf)
+    times, states = trajectory.times, trajectory.states
+    if config.model == "ode":
+        names, columns = ["X", "N", "E", "S", "O"], list(states.T)
+    else:
+        C = config.n_cells
+        total = DENSITY_SCALE * op.grid.dm * states[:, :C].sum(axis=1)
+        with np.errstate(divide="ignore"):
+            log_total = np.where(total > 0.0, np.log10(np.maximum(total, 1e-300)), -math.inf)
+        names = ["N", "E", "S", "O", "total_cells", "log10_total_cells"]
+        columns = list(states[:, C:].T) + [total, log_total]
     temps = np.array([temperature(profile, t) for t in times])
-    rows = np.column_stack([
-        times, states[:, C], states[:, C + 1], states[:, C + 2], states[:, C + 3],
-        total, log_total, temps, _newton_column(trajectory)])
+    header = ["t", *names, "T", "newton_iters"]
+    rows = np.column_stack([times, *columns, temps, _newton_column(trajectory)])
+    files = [os.path.join(config.output_dir, "trajectory.csv")]
+    _write_csv(files[0], header, rows)
 
-    files = []
-    traj_path = os.path.join(config.output_dir, "trajectory.csv")
-    _write_csv(traj_path,
-               ["t", "N", "E", "S", "O", "total_cells", "log10_total_cells",
-                "T", "newton_iters"], rows)
-    files.append(traj_path)
+    if config.model == "ide":
+        for t_req, idx in _snapshot_indices(times, config.snapshot_times).items():
+            if t_req > times[-1] + 0.5 * config.dt:
+                continue  # not reached (partial trajectory)
+            path = os.path.join(config.output_dir, f"density_t{t_req:g}.csv")
+            w = DENSITY_SCALE * states[idx, :C]
+            _write_csv(path, ["m_center", "w"], np.column_stack([op.grid.centers, w]))
+            files.append(path)
 
-    for t_req, idx in _snapshot_indices(times, config.snapshot_times).items():
-        if t_req > times[-1] + 0.5 * config.dt:
-            continue  # not reached (partial trajectory)
-        name = f"density_t{t_req:g}.csv"
-        path = os.path.join(config.output_dir, name)
-        w = DENSITY_SCALE * states[idx, :C]
-        _write_csv(path, ["m_center", "w"], np.column_stack([grid.centers, w]))
-        files.append(path)
-
-    finals = list(zip(["N", "E", "S", "O", "total_cells"],
-                      [states[-1, C], states[-1, C + 1], states[-1, C + 2],
-                       states[-1, C + 3], total[-1]]))
-    summary_path = os.path.join(config.output_dir, "run_summary.txt")
-    with open(summary_path, "w", encoding="utf-8") as handle:
+    finals = [(name, value) for name, value in zip(header, rows[-1])
+              if name not in _NON_STATE]
+    files.append(os.path.join(config.output_dir, "run_summary.txt"))
+    with open(files[-1], "w", encoding="utf-8") as handle:
         handle.write("\n".join(_summary_lines(config, trajectory, finals, wall)) + "\n")
-    files.append(summary_path)
-    return RunResult(config, trajectory, config.output_dir, wall, files)
-
-
-def _run_ode(config: SimulationConfig, start: float) -> RunResult:
-    ini = config.initial
-    y0 = OdeState(X=initial_biomass(config), N=ini.N0, E=ini.E0, S=ini.S0, O=ini.O0)
-    trajectory = run_ode(y0, config.t_final, config.dt, config.kinetic,
-                         config.profile, config.newton)
-    wall = time.perf_counter() - start
-
-    times = trajectory.times
-    states = trajectory.states
-    temps = np.array([temperature(config.profile, t) for t in times])
-    rows = np.column_stack([times, states[:, 0], states[:, 1], states[:, 2],
-                            states[:, 3], states[:, 4], temps,
-                            _newton_column(trajectory)])
-    files = []
-    traj_path = os.path.join(config.output_dir, "trajectory.csv")
-    _write_csv(traj_path, ["t", "X", "N", "E", "S", "O", "T", "newton_iters"], rows)
-    files.append(traj_path)
-
-    finals = list(zip(["X", "N", "E", "S", "O"], states[-1]))
-    summary_path = os.path.join(config.output_dir, "run_summary.txt")
-    with open(summary_path, "w", encoding="utf-8") as handle:
-        handle.write("\n".join(_summary_lines(config, trajectory, finals, wall)) + "\n")
-    files.append(summary_path)
+    if not trajectory.completed:
+        raise IntegrationFailure(
+            f"integration aborted at t={trajectory.times[-1]:g}: {trajectory.failure}")
     return RunResult(config, trajectory, config.output_dir, wall, files)
 
 
@@ -224,8 +209,7 @@ def compare(dir_a: str, dir_b: str, out_path: str,
     """
     header_a, data_a = read_csv(os.path.join(dir_a, "trajectory.csv"))
     header_b, data_b = read_csv(os.path.join(dir_b, "trajectory.csv"))
-    skip = {"t", "T", "newton_iters", "log10_total_cells"}
-    shared = [c for c in header_a if c in header_b and c not in skip]
+    shared = [c for c in header_a if c in header_b and c not in _NON_STATE]
     if not shared:
         raise ConfigError("trajectories share no state columns")
     t_a, t_b = data_a[:, header_a.index("t")], data_b[:, header_b.index("t")]

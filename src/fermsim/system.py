@@ -13,83 +13,18 @@ cells i = 1 .. C-2 only.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 import numpy as np
 
 from .errors import NumericsError
 from .kinetics import (
     KineticParams,
     TemperatureProfile,
-    K_E,
-    beta_max,
     death_phi,
     death_phi_prime,
-    mu_max,
+    rate_factors,
     temperature,
 )
 from .operator import DiscreteOperator
-
-
-@dataclass
-class SystemState:
-    """Full unknown vector at one time instant."""
-
-    w: np.ndarray
-    N: float
-    E: float
-    S: float
-    O: float
-    t: float = 0.0
-
-    def to_vector(self) -> np.ndarray:
-        return np.concatenate([self.w, [self.N, self.E, self.S, self.O]])
-
-    @classmethod
-    def from_vector(cls, y: np.ndarray, t: float = 0.0) -> "SystemState":
-        return cls(w=np.array(y[:-4]), N=float(y[-4]), E=float(y[-3]),
-                   S=float(y[-2]), O=float(y[-1]), t=t)
-
-
-def _rate_factors(kp: KineticParams, N, E, S, O, T):
-    """Per-unit-mass rates and their state derivatives at one point.
-
-    Michaelis factors are evaluated directly (no domain check) so that
-    Newton iterates may transiently leave the physical region.
-    """
-    mu = mu_max(kp, T)
-    bm = beta_max(kp, T)
-    ke = K_E(kp, T)
-
-    gN = N / (kp.KN + N)
-    gS1 = S / (kp.KS1 + S)
-    gS2 = S / (kp.KS2 + S)
-    gO = O / (kp.KO + O)
-    gKE = ke / (ke + E)
-
-    dgN = kp.KN / (kp.KN + N) ** 2
-    dgS1 = kp.KS1 / (kp.KS1 + S) ** 2
-    dgS2 = kp.KS2 / (kp.KS2 + S) ** 2
-    dgO = kp.KO / (kp.KO + O) ** 2
-    dgKE = -ke / (ke + E) ** 2
-
-    rt_eps = mu * gN * gS1 * (gO + kp.eps)
-    rt = mu * gN * gS1 * gO
-    qE = bm * gS2 * gKE
-
-    return {
-        "rt_eps": rt_eps,
-        "rt": rt,
-        "qE": qE,
-        "drt_eps": (mu * dgN * gS1 * (gO + kp.eps),      # d/dN
-                    mu * gN * dgS1 * (gO + kp.eps),      # d/dS
-                    mu * gN * gS1 * dgO),                # d/dO
-        "drt": (mu * dgN * gS1 * gO,
-                mu * gN * dgS1 * gO,
-                mu * gN * gS1 * dgO),
-        "dqE_dS": bm * dgS2 * gKE,
-        "dqE_dE": bm * gS2 * dgKE,
-    }
 
 
 def rhs_vector(t: float, y: np.ndarray, op: DiscreteOperator,
@@ -103,7 +38,7 @@ def rhs_vector(t: float, y: np.ndarray, op: DiscreteOperator,
     w = y[:C]
     N, E, S, O = y[C], y[C + 1], y[C + 2], y[C + 3]
     T = temperature(profile, t)
-    fac = _rate_factors(kp, N, E, S, O, T)
+    fac = rate_factors(kp, N, E, S, O, T)
     phi = death_phi(kp, E)
 
     v = fac["rt_eps"] * grid.edges          # edge velocities, C+1
@@ -138,7 +73,7 @@ def jacobian_vector(t: float, y: np.ndarray, op: DiscreteOperator,
     w = y[:C]
     N, E, S, O = y[C], y[C + 1], y[C + 2], y[C + 3]
     T = temperature(profile, t)
-    fac = _rate_factors(kp, N, E, S, O, T)
+    fac = rate_factors(kp, N, E, S, O, T)
     phi = death_phi(kp, E)
     dphi = death_phi_prime(kp, E)
 
@@ -192,14 +127,3 @@ def jacobian_vector(t: float, y: np.ndarray, op: DiscreteOperator,
 
     return J
 
-
-def rhs(state: SystemState, op: DiscreteOperator, kp: KineticParams,
-        profile: TemperatureProfile) -> SystemState:
-    """d(state)/dt as a :class:`SystemState` (the t field carries state.t)."""
-    dy = rhs_vector(state.t, state.to_vector(), op, kp, profile)
-    return SystemState.from_vector(dy, t=state.t)
-
-
-def jacobian(state: SystemState, op: DiscreteOperator, kp: KineticParams,
-             profile: TemperatureProfile) -> np.ndarray:
-    return jacobian_vector(state.t, state.to_vector(), op, kp, profile)

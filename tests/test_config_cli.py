@@ -186,10 +186,19 @@ def test_config_error_exit_code(tmp_path, capsys):
 
 def test_tiny_quadrature_is_config_error_before_output(tmp_path, capsys):
     out = tmp_path / "never"
-    cfg = write(tmp_path, SHORT + "n_quad = 1\n")
-    assert main(["simulate", "--config", cfg, "--output-dir", str(out)]) == 1
-    assert "n_quad must be >= 2" in capsys.readouterr().err
-    assert not out.exists()
+    cases = [
+        (SHORT + "n_quad = 1\n", [], "n_quad must be >= 2"),
+        (SHORT, ["--dt", "0.3"], "step size 0.3 does not divide t_final 1"),
+        (SHORT, ["--model", "ode", "--t-final", "1e-12"],
+         "t_final 1e-12 is shorter than half the step size"),
+    ]
+    for text, flags, message in cases:
+        cfg = write(tmp_path, text)
+        assert main(["simulate", "--config", cfg, *flags, "--output-dir", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert message in err
+        assert len(err.strip().splitlines()) == 1
+        assert not out.exists()
 
 
 def test_missing_config_exit_code(tmp_path):
@@ -207,6 +216,22 @@ def test_compare_run_against_itself_is_zero(tmp_path):
     assert lines[0] == "state,t,value_a,value_b,rel_diff"
     assert len(lines) > 1
     assert all(float(line.rsplit(",", 1)[1]) == 0.0 for line in lines[1:])
+
+
+def test_compare_malformed_trajectory_is_config_error(tmp_path, capsys):
+    cfg = write(tmp_path, SHORT)
+    good = tmp_path / "good"
+    main(["simulate", "--config", cfg, "--model", "ode", "--output-dir", str(good)])
+    capsys.readouterr()
+    bad = tmp_path / "bad"
+    bad.mkdir()
+    for text in ("t,X\n0,abc\n", "t,X,N\n0,1\n", "t,X\n"):
+        (bad / "trajectory.csv").write_text(text)
+        assert main(["compare", "--a", str(good), "--b", str(bad),
+                     "--out", str(tmp_path / "cmp.csv")]) == 1
+        err = capsys.readouterr().err
+        assert str(bad / "trajectory.csv") in err
+        assert len(err.strip().splitlines()) == 1
 
 
 def test_compare_two_distributions_snapshots_have_two_peaks(tmp_path):

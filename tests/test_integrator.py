@@ -3,9 +3,9 @@ import pytest
 
 from fermsim import (ConfigError, DistributionSpec, DomainError, KineticParams,
                      NewtonConfig, NumericsError, StepFailure,
-                     build_initial_density, build_grid, integrate, suggest_dt)
+                     build_initial_density, integrate)
 from fermsim.integrator import trapezoid_step
-from fermsim.system import SystemState, jacobian_vector, rhs_vector
+from fermsim.system import jacobian_vector, rhs_vector
 
 
 def linear_system():
@@ -65,6 +65,9 @@ def test_step_must_divide_horizon():
     _, f, jac = linear_system()
     with pytest.raises(ConfigError):
         integrate(f, jac, np.array([1.0, 1.0]), 1.0, 0.3)
+    # a positive horizon that rounds to zero steps is rejected too
+    with pytest.raises(ConfigError, match="shorter than half the step size"):
+        integrate(f, jac, np.array([1.0, 1.0]), 1e-12, 1.0 / 192.0)
 
 
 def test_nonconvergence_yields_partial_trajectory():
@@ -97,23 +100,6 @@ def test_determinism(op30, kp, profile):
         y0, 0.5, 1.0 / 48.0)
     a, b = run(), run()
     assert np.array_equal(a.states, b.states)
-
-
-def test_suggest_dt_reproduces_reference_step(kp, profile):
-    # with cfl tuned, the 150-cell grid suggests a step near 1/192 day
-    grid = build_grid(0.001, 0.999, 150)
-    bound = SystemState(w=np.zeros(150), N=0.40, E=0.0, S=193.0, O=0.012)
-    dt = suggest_dt(grid, kp, profile, bound, cfl=1.0)
-    # advisory suggestion lands within a factor two of the reference step
-    assert 0.5 / 192.0 <= dt <= 2.0 / 192.0
-    assert suggest_dt(grid, kp, profile, bound, cfl=0.5) == pytest.approx(
-        0.5 * dt)
-
-
-def test_suggest_dt_zero_velocity_cap(kp, profile):
-    grid = build_grid(0.001, 0.999, 150)
-    bound = SystemState(w=np.zeros(150), N=0.0, E=0.0, S=0.0, O=0.0)
-    assert suggest_dt(grid, kp, profile, bound, cfl=1.0, cap=0.1) == 0.1
 
 
 # --- stage times and the exit-code contract -----------------------------------

@@ -7,11 +7,10 @@ from hypothesis import strategies as st
 
 from fermsim import (ConfigError, DivisionParams, DomainError, KineticParams,
                      ModelValidityError, TemperatureProfile, compute_lambda,
-                     division_rate, normalize_mass, partition, temperature)
-from fermsim.kinetics import (K_E, beta_max, death_phi, death_phi_prime,
-                              ethanol_tilde, growth_rate, growth_rate_eps,
-                              growth_tilde, growth_tilde_eps, mu_max,
-                              sugar_rate)
+                     division_rate, normalize_mass, partition, rate_factors,
+                     temperature)
+from fermsim.kinetics import K_E, beta_max, death_phi, death_phi_prime, mu_max
+from fermsim.reduced import ode_rhs_vector
 
 conc = st.floats(min_value=0.0, max_value=250.0)
 temp = st.floats(min_value=10.0, max_value=25.0)
@@ -55,45 +54,47 @@ def test_temperature_range_check(kp):
 
 # --- reaction rates ---------------------------------------------------------
 
+def constant_profile(T):
+    """A profile that holds T over the whole horizon."""
+    return TemperatureProfile(T_low=T, T_high=T)
+
+
 @given(N=conc, S=conc, O=conc, T=temp)
 def test_growth_oxygen_floor(N, S, O, T):
     kp = KineticParams()
-    with_eps = growth_tilde_eps(kp, N, S, O, T)
-    without = growth_tilde(kp, N, S, O, T)
-    assert with_eps >= without >= 0.0
-    assert with_eps - without == pytest.approx(
+    fac = rate_factors(kp, N, 0.0, S, O, T)
+    assert fac["rt_eps"] >= fac["rt"] >= 0.0
+    assert fac["rt_eps"] - fac["rt"] == pytest.approx(
         mu_max(kp, T) * (N / (kp.KN + N)) * (S / (kp.KS1 + S)) * kp.eps)
 
 
-@given(N=conc, S=conc, O=conc, T=temp, m=mass)
-def test_growth_rate_linear_in_mass(N, S, O, T, m):
+@given(N=conc, S=conc, E=conc, O=conc, T=temp, m=mass)
+def test_growth_rate_linear_in_mass(N, S, E, O, T, m):
+    # every reduced-model rate is a per-unit-mass rate times the biomass
     kp = KineticParams()
-    assert growth_rate_eps(kp, m, N, S, O, T) == pytest.approx(
-        m * growth_tilde_eps(kp, N, S, O, T))
-    assert growth_rate(kp, m, N, S, O, T) == pytest.approx(
-        m * growth_tilde(kp, N, S, O, T))
+    profile = constant_profile(T)
+    per_unit = ode_rhs_vector(0.0, np.array([1.0, N, E, S, O]), kp, profile)
+    scaled = ode_rhs_vector(0.0, np.array([m, N, E, S, O]), kp, profile)
+    assert np.allclose(scaled, m * per_unit, rtol=1e-12, atol=0.0)
+    assert per_unit[0] == pytest.approx(
+        rate_factors(kp, N, E, S, O, T)["rt_eps"] - death_phi(kp, E) - kp.kd)
 
 
 @given(S=conc, E=conc, T=temp)
 def test_ethanol_rate_bounded_and_inhibited(S, E, T):
     kp = KineticParams()
-    q = ethanol_tilde(kp, S, E, T)
+    q = rate_factors(kp, 0.4, E, S, 0.01, T)["qE"]
     assert 0.0 <= q <= beta_max(kp, T)
-    assert ethanol_tilde(kp, S, E + 10.0, T) <= q  # product inhibition
+    assert rate_factors(kp, 0.4, E + 10.0, S, 0.01, T)["qE"] <= q  # product inhibition
 
 
 @given(S=conc, E=conc, N=conc, O=conc, T=temp, m=mass)
 def test_sugar_rate_is_yield_combination(S, E, N, O, T, m):
+    # sugar feeds ethanol (yield k2) and growth (yield k3, as nitrogen does with k1)
     kp = KineticParams()
-    from fermsim.kinetics import ethanol_rate
-    expected = (kp.k2 * ethanol_rate(kp, m, S, E, T)
-                + kp.k3 * growth_rate_eps(kp, m, N, S, O, T))
-    assert sugar_rate(kp, m, N, S, E, O, T) == pytest.approx(expected)
-
-
-def test_negative_concentration_rejected(kp):
-    with pytest.raises(DomainError):
-        growth_tilde(kp, -0.1, 100.0, 0.01, 15.0)
+    _, Ndot, Edot, Sdot, _ = ode_rhs_vector(
+        0.0, np.array([m, N, E, S, O]), kp, constant_profile(T))
+    assert Sdot == pytest.approx(-kp.k2 * Edot + kp.k3 / kp.k1 * Ndot)
 
 
 # --- ethanol toxicity -------------------------------------------------------

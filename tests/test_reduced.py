@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
 
-from fermsim import KineticParams, NewtonConfig, OdeState, TemperatureProfile, run_ode
+from fermsim import NewtonConfig, run_ode
 from fermsim.oracles import fd_jacobian, jacobian_deviation
-from fermsim.reduced import ode_jacobian_vector, ode_rhs, ode_rhs_vector
+from fermsim.reduced import ode_jacobian_vector, ode_rhs_vector
 
 
 def test_rhs_signs(kp, profile):
@@ -14,13 +14,6 @@ def test_rhs_signs(kp, profile):
     assert dy[2] > 0.0   # ethanol produced
     assert dy[3] < 0.0   # sugar consumed
     assert dy[4] < 0.0   # oxygen consumed
-
-
-def test_rhs_wrapper_roundtrip(kp, profile):
-    state = OdeState(X=0.5, N=0.4, E=0.0, S=193.0, O=0.012, t=1.0)
-    ds = ode_rhs(state, kp, profile)
-    assert np.allclose(ds.to_vector(),
-                       ode_rhs_vector(1.0, state.to_vector(), kp, profile))
 
 
 def test_zero_biomass_is_stationary_for_substrates(kp, profile):
@@ -43,12 +36,12 @@ def test_jacobian_matches_finite_differences(kp, profile):
 
 
 def test_twenty_day_run_depletes_substrates(kp, profile):
-    y0 = OdeState(X=0.5, N=0.40, E=0.0, S=193.0, O=0.012)
+    y0 = np.array([0.5, 0.40, 0.0, 193.0, 0.012])   # X, N, E, S, O
     traj = run_ode(y0, 20.0, 1.0 / 192.0, kp, profile, NewtonConfig())
     assert traj.completed
     X, N, E, S, O = traj.states[-1]
     assert E > 80.0
     assert S < 30.0
-    assert O < 0.01 * y0.O
+    assert O < 0.01 * y0[4]
     assert np.all(np.diff(traj.states[:, 2]) >= -1e-12)   # E nondecreasing
     assert np.all(np.diff(traj.states[:, 3]) <= 1e-12)    # S nonincreasing
