@@ -18,7 +18,7 @@ from .grid import MassGrid, build_grid
 from .integrator import NewtonConfig, Trajectory, integrate
 from .kinetics import (DivisionParams, KineticParams, TemperatureProfile,
                        compute_lambda, division_rate, normalize_mass,
-                       partition, rate_factors, temperature)
+                       partition, rate_jacobian, rates, temperature)
 from .operator import DiscreteOperator, assemble_operator
 from .reduced import run_ode
 from .simulate import RunResult, compare, run
@@ -33,7 +33,7 @@ __all__ = [
     "assemble_operator", "build_grid", "build_initial_density", "compare",
     "compute_lambda", "default_config", "division_rate", "integrate",
     "jacobian_vector", "load_config", "normalize_mass", "partition",
-    "rate_factors", "rhs_vector", "run", "run_ode", "temperature",
+    "rate_jacobian", "rates", "rhs_vector", "run", "run_ode", "temperature",
 ]
 
 __version__ = "0.1.0"

@@ -34,6 +34,12 @@ from .errors import ConfigError, DomainError, NumericsError, StepFailure
 #: than this factor (the RADAU5 default).
 THETA_MAX = 1e-3
 
+#: Most steps one march may take.  ``integrate`` holds every state of the
+#: march, (n_steps + 1) x (C + 4) floats (1.2 GB at 150 cells for this
+#: many steps), and each step costs tens of microseconds of Python at
+#: least, so a march this long already takes minutes.
+MAX_STEPS = 1_000_000
+
 _STEP_ERRORS = (NumericsError, DomainError, np.linalg.LinAlgError)
 
 
@@ -155,14 +161,19 @@ def trapezoid_step(y_n: np.ndarray, t_n: float, h: float, f, jac,
 def step_count(t_final: float, h: float) -> int:
     """Number of steps of size ``h`` that march [0, t_final].
 
-    Raises ConfigError unless ``h`` divides ``t_final`` or when a positive
-    ``t_final`` is too short for one step.
+    Raises ConfigError unless ``h`` divides ``t_final``, when a positive
+    ``t_final`` is too short for one step, or when the march would take
+    more than MAX_STEPS steps.
     """
     if t_final < 0:
         raise ConfigError("t_final must be >= 0")
     if t_final == 0:
         return 0
-    n_steps = int(round(t_final / h))
+    ratio = t_final / h
+    if not ratio < MAX_STEPS + 0.5:
+        raise ConfigError(f"step size {h} gives {ratio:.3g} steps over t_final {t_final}, "
+                          f"more than the {MAX_STEPS} allowed")
+    n_steps = int(round(ratio))
     if n_steps == 0:
         raise ConfigError(f"t_final {t_final} is shorter than half the step size {h}")
     if abs(n_steps * h - t_final) > 1e-9 * max(1.0, t_final):
@@ -171,13 +182,11 @@ def step_count(t_final: float, h: float) -> int:
 
 
 def integrate(f, jac, y0: np.ndarray, t_final: float, h: float,
-              cfg: NewtonConfig = NewtonConfig(), callback=None) -> Trajectory:
+              cfg: NewtonConfig = NewtonConfig()) -> Trajectory:
     """Fixed-step march over [0, t_final]; aborts cleanly on step failure.
 
     Stage times come from the same ``times`` array the trajectory holds,
-    so the last stage is exactly ``t_final``.  ``callback(step_index, t,
-    y)`` is invoked after every accepted step (and once for the initial
-    state).
+    so the last stage is exactly ``t_final``.
     """
     y0 = np.asarray(y0, dtype=float)
     n_steps = step_count(t_final, h)
@@ -187,8 +196,6 @@ def integrate(f, jac, y0: np.ndarray, t_final: float, h: float,
     times = h * np.arange(n_steps + 1)
     times[-1] = t_final if n_steps else 0.0
     records = []
-    if callback is not None:
-        callback(0, 0.0, y0)
     state = StepState()
     for k in range(n_steps):
         try:
@@ -199,7 +206,5 @@ def integrate(f, jac, y0: np.ndarray, t_final: float, h: float,
                               records=records, completed=False, failure=str(exc))
         states[k + 1] = y_new
         records.append(rec)
-        if callback is not None:
-            callback(k + 1, times[k + 1], y_new)
     return Trajectory(times=times, states=states, records=records)
 

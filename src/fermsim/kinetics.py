@@ -1,9 +1,11 @@
 """Continuous model functions of the fermentation population-balance model.
 
-Everything here is a pure function of its arguments: Michaelis--Menten
-growth/production rates, the ethanol-related death function, the cell
-division rate and daughter-mass partitioning density, and the linear
-temperature dependencies of the kinetic coefficients.
+Everything here is a pure function of its arguments: the one rate law
+of both models (``rates``: Michaelis--Menten growth rate and the four
+substrate rates per unit biomass, with their derivatives in
+``rate_jacobian``), the ethanol-related death function, the cell division
+rate and daughter-mass partitioning density, and the linear temperature
+dependencies of the kinetic coefficients.
 
 Units
 -----
@@ -154,64 +156,64 @@ def K_E(p: KineticParams, T: float) -> float:
     return val
 
 
-def rate_factors(kp: KineticParams, N, E, S, O, T):
-    """Per-unit-mass rates and their state derivatives at one point.
+def _michaelis(kp: KineticParams, N, E, S, O, T):
+    """Temperature coefficients and Michaelis factors at one point.
 
-    The one rate law of both models: ``rt_eps`` is the growth rate with
-    the anaerobic floor eps, ``rt`` the growth rate without it (oxygen
-    uptake), ``qE`` the ethanol accumulation rate; sugar is consumed at
-    k2*qE + k3*rt_eps.  ``drt_eps``/``drt`` hold the N, S, O derivatives.
-    Michaelis factors are evaluated directly (no domain check) so that
-    Newton iterates may transiently leave the physical region.
+    Evaluated directly (no domain check) so that Newton iterates may
+    transiently leave the physical region.
     """
-    mu = mu_max(kp, T)
-    bm = beta_max(kp, T)
-    ke = K_E(kp, T)
+    mu, bm, ke = mu_max(kp, T), beta_max(kp, T), K_E(kp, T)
+    return (mu, bm, ke, N / (kp.KN + N), ke / (ke + E),
+            S / (kp.KS1 + S), S / (kp.KS2 + S), O / (kp.KO + O))
 
-    gN = N / (kp.KN + N)
-    gS1 = S / (kp.KS1 + S)
-    gS2 = S / (kp.KS2 + S)
-    gO = O / (kp.KO + O)
-    gKE = ke / (ke + E)
 
+def rates(kp: KineticParams, N, E, S, O, T):
+    """The one rate law of both models: ``(v, b)`` at one point.
+
+    ``v`` is the specific growth rate with the anaerobic floor eps (the
+    mass velocity of the full model).  ``b`` holds the N, E, S, O rates per
+    g/l of biomass: nitrogen uptake k1*v, ethanol production qE, sugar
+    uptake k2*qE + k3*v and oxygen uptake k4*rt, where rt is the growth
+    rate without the floor.
+    """
+    mu, bm, _, gN, gKE, gS1, gS2, gO = _michaelis(kp, N, E, S, O, T)
+    v = mu * gN * gS1 * (gO + kp.eps)
+    rt = mu * gN * gS1 * gO
+    qE = bm * gS2 * gKE
+    return v, (-kp.k1 * v, qE, -(kp.k2 * qE + kp.k3 * v), -kp.k4 * rt)
+
+
+def rate_jacobian(kp: KineticParams, N, E, S, O, T):
+    """Derivatives ``(dv, db)`` of :func:`rates` over (N, E, S, O).
+
+    ``dv`` has shape (4,) and ``db`` shape (4, 4); the yields enter once,
+    by the chain rule on 4-vectors.
+    """
+    mu, bm, ke, gN, gKE, gS1, gS2, gO = _michaelis(kp, N, E, S, O, T)
     dgN = kp.KN / (kp.KN + N) ** 2
     dgS1 = kp.KS1 / (kp.KS1 + S) ** 2
     dgS2 = kp.KS2 / (kp.KS2 + S) ** 2
     dgO = kp.KO / (kp.KO + O) ** 2
     dgKE = -ke / (ke + E) ** 2
 
-    rt_eps = mu * gN * gS1 * (gO + kp.eps)
-    rt = mu * gN * gS1 * gO
-    qE = bm * gS2 * gKE
-
-    return {
-        "rt_eps": rt_eps,
-        "rt": rt,
-        "qE": qE,
-        "drt_eps": (mu * dgN * gS1 * (gO + kp.eps),      # d/dN
-                    mu * gN * dgS1 * (gO + kp.eps),      # d/dS
-                    mu * gN * gS1 * dgO),                # d/dO
-        "drt": (mu * dgN * gS1 * gO,
-                mu * gN * dgS1 * gO,
-                mu * gN * gS1 * dgO),
-        "dqE_dS": bm * dgS2 * gKE,
-        "dqE_dE": bm * gS2 * dgKE,
-    }
+    dv = np.array([mu * dgN * gS1 * (gO + kp.eps), 0.0,
+                   mu * gN * dgS1 * (gO + kp.eps), mu * gN * gS1 * dgO])
+    drt = np.array([mu * dgN * gS1 * gO, 0.0, mu * gN * dgS1 * gO, mu * gN * gS1 * dgO])
+    dqE = np.array([0.0, bm * gS2 * dgKE, bm * dgS2 * gKE, 0.0])
+    return dv, np.array([-kp.k1 * dv, dqE, -(kp.k2 * dqE + kp.k3 * dv), -kp.k4 * drt])
 
 
-def death_phi(p: KineticParams, E):
+def death_phi(p: KineticParams, E: float) -> float:
     """Ethanol-related death rate Phi(E) (1/day); zero at E = tol."""
-    d = np.asarray(E, dtype=float) - p.tol
-    val = (0.5 + np.arctan(p.kd1 * d) / np.pi) * p.kd2 * d * d
-    return float(val) if np.isscalar(E) else val
+    d = E - p.tol
+    return (0.5 + math.atan(p.kd1 * d) / math.pi) * p.kd2 * d * d
 
 
-def death_phi_prime(p: KineticParams, E):
+def death_phi_prime(p: KineticParams, E: float) -> float:
     """Derivative of the death function with respect to E."""
-    d = np.asarray(E, dtype=float) - p.tol
-    val = (p.kd1 * p.kd2 * d * d / (np.pi * (1.0 + p.kd1 ** 2 * d * d))
-           + 2.0 * p.kd2 * d * (0.5 + np.arctan(p.kd1 * d) / np.pi))
-    return float(val) if np.isscalar(E) else val
+    d = E - p.tol
+    return (p.kd1 * p.kd2 * d * d / (math.pi * (1.0 + p.kd1 ** 2 * d * d))
+            + 2.0 * p.kd2 * d * (0.5 + math.atan(p.kd1 * d) / math.pi))
 
 
 def partition(d: DivisionParams, m, m_prime):

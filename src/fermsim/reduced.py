@@ -2,7 +2,9 @@
 
 State x = (X, N, E, S, O) with X the biomass concentration in g/l.
 Division terms cancel in the first moment because daughter masses sum to
-the mother mass, so the closure uses only the kinetic rate functions.
+the mother mass, so the closure uses only the rate law of
+:func:`fermsim.kinetics.rates`: X grows at (v - phi - kd) X and the
+substrates change at b X.
 """
 
 from __future__ import annotations
@@ -12,7 +14,7 @@ import numpy as np
 from .errors import NumericsError
 from .integrator import NewtonConfig, Trajectory, integrate
 from .kinetics import (KineticParams, TemperatureProfile, death_phi, death_phi_prime,
-                       rate_factors, temperature)
+                       rate_jacobian, rates, temperature)
 
 
 def ode_rhs_vector(t: float, y: np.ndarray, kp: KineticParams,
@@ -20,38 +22,23 @@ def ode_rhs_vector(t: float, y: np.ndarray, kp: KineticParams,
     if not np.all(np.isfinite(y)):
         raise NumericsError(f"non-finite ODE state at t={t}")
     X, N, E, S, O = y
-    T = temperature(profile, t)
-    fac = rate_factors(kp, N, E, S, O, T)
-    phi = death_phi(kp, E)
-    return np.array([
-        (fac["rt_eps"] - phi - kp.kd) * X,
-        -kp.k1 * fac["rt_eps"] * X,
-        fac["qE"] * X,
-        -(kp.k2 * fac["qE"] + kp.k3 * fac["rt_eps"]) * X,
-        -kp.k4 * fac["rt"] * X,
-    ])
+    v, b = rates(kp, N, E, S, O, temperature(profile, t))
+    return np.multiply((v - death_phi(kp, E) - kp.kd, *b), X)
 
 
 def ode_jacobian_vector(t: float, y: np.ndarray, kp: KineticParams,
                         profile: TemperatureProfile) -> np.ndarray:
     X, N, E, S, O = y
     T = temperature(profile, t)
-    fac = rate_factors(kp, N, E, S, O, T)
-    phi = death_phi(kp, E)
-    dphi = death_phi_prime(kp, E)
-    dN, dS, dO = fac["drt_eps"]
-    rN, rS, rO = fac["drt"]
+    v, b = rates(kp, N, E, S, O, T)
+    dv, db = rate_jacobian(kp, N, E, S, O, T)
 
-    J = np.zeros((5, 5))
-    J[0] = (fac["rt_eps"] - phi - kp.kd, X * dN, -X * dphi, X * dS, X * dO)
-    J[1] = (-kp.k1 * fac["rt_eps"], -kp.k1 * X * dN, 0.0, -kp.k1 * X * dS, -kp.k1 * X * dO)
-    J[2] = (fac["qE"], 0.0, X * fac["dqE_dE"], X * fac["dqE_dS"], 0.0)
-    J[3] = (-(kp.k2 * fac["qE"] + kp.k3 * fac["rt_eps"]),
-            -kp.k3 * X * dN,
-            -kp.k2 * X * fac["dqE_dE"],
-            -X * (kp.k2 * fac["dqE_dS"] + kp.k3 * dS),
-            -kp.k3 * X * dO)
-    J[4] = (-kp.k4 * fac["rt"], -kp.k4 * X * rN, 0.0, -kp.k4 * X * rS, -kp.k4 * X * rO)
+    J = np.empty((5, 5))
+    J[0, 0] = v - death_phi(kp, E) - kp.kd
+    J[0, 1:] = X * dv
+    J[0, 2] = -X * death_phi_prime(kp, E)
+    J[1:, 0] = b
+    J[1:, 1:] = X * db
     return J
 
 

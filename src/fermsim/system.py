@@ -7,8 +7,9 @@ tabulated yield coefficients apply without conversion factors.
 
 Advection uses the first-order upwind flux with the growth velocity
 evaluated at cell edges; the domain boundaries carry zero inflow (left)
-and zero outflow (right) fluxes.  The substrate sums run over interior
-cells i = 1 .. C-2 only.
+and zero outflow (right) fluxes.  The substrate rates are the per-biomass
+rates b of :func:`fermsim.kinetics.rates` times the first moment over
+interior cells i = 1 .. C-2 only, so they match the reduced model's b*X.
 """
 
 from __future__ import annotations
@@ -21,7 +22,8 @@ from .kinetics import (
     TemperatureProfile,
     death_phi,
     death_phi_prime,
-    rate_factors,
+    rate_jacobian,
+    rates,
     temperature,
 )
 from .operator import DiscreteOperator
@@ -37,26 +39,21 @@ def rhs_vector(t: float, y: np.ndarray, op: DiscreteOperator,
     C = grid.n_cells
     w = y[:C]
     N, E, S, O = y[C], y[C + 1], y[C + 2], y[C + 3]
-    T = temperature(profile, t)
-    fac = rate_factors(kp, N, E, S, O, T)
+    v, b = rates(kp, N, E, S, O, temperature(profile, t))
     phi = death_phi(kp, E)
 
-    v = fac["rt_eps"] * grid.edges          # edge velocities, C+1
+    vel = v * grid.edges                    # edge velocities, C+1
     flux = np.zeros(C + 1)
-    flux[1:C] = v[1:C] * w[:C - 1]          # upwind; zero in/outflow at ends
+    flux[1:C] = vel[1:C] * w[:C - 1]        # upwind; zero in/outflow at ends
 
     wdot = ((-(flux[1:] - flux[:-1]) + 2.0 * (op.K @ w) - op.gamma_int * w)
             / grid.dm - (phi + kp.kd) * w)
 
     moment = grid.dm * float(np.dot(grid.centers[1:C - 1], w[1:C - 1]))
-    Ndot = -kp.k1 * fac["rt_eps"] * moment
-    Edot = fac["qE"] * moment
-    Sdot = -(kp.k2 * fac["qE"] + kp.k3 * fac["rt_eps"]) * moment
-    Odot = -kp.k4 * fac["rt"] * moment
 
     out = np.empty_like(y)
     out[:C] = wdot
-    out[C:] = (Ndot, Edot, Sdot, Odot)
+    out[C:] = np.multiply(b, moment)
     return out
 
 
@@ -73,9 +70,9 @@ def jacobian_vector(t: float, y: np.ndarray, op: DiscreteOperator,
     w = y[:C]
     N, E, S, O = y[C], y[C + 1], y[C + 2], y[C + 3]
     T = temperature(profile, t)
-    fac = rate_factors(kp, N, E, S, O, T)
+    v, b = rates(kp, N, E, S, O, T)
+    dv, db = rate_jacobian(kp, N, E, S, O, T)
     phi = death_phi(kp, E)
-    dphi = death_phi_prime(kp, E)
 
     J = np.zeros((C + 4, C + 4))
 
@@ -83,47 +80,23 @@ def jacobian_vector(t: float, y: np.ndarray, op: DiscreteOperator,
     J[:C, :C] = (2.0 / dm) * op.K
     diag = np.arange(C)
     J[diag, diag] -= op.gamma_int / dm + phi + kp.kd
-    J[diag[:-1], diag[:-1]] -= fac["rt_eps"] * e[1:C] / dm   # outflow, not in last cell
-    J[diag[1:], diag[:-1]] += fac["rt_eps"] * e[1:C] / dm    # inflow from the left
+    J[diag[:-1], diag[:-1]] -= v * e[1:C] / dm   # outflow, not in last cell
+    J[diag[1:], diag[:-1]] += v * e[1:C] / dm    # inflow from the left
 
-    # net upwind flux divided by rt_eps; carries the velocity derivatives
+    # net upwind flux divided by v; carries the velocity derivatives
     G = e[1:] * w
     G[-1] = 0.0
     G[1:] -= e[1:C] * w[:C - 1]
-
-    dN, dS, dO = fac["drt_eps"]
-    J[:C, C] = -(G / dm) * dN
-    J[:C, C + 1] = -dphi * w
-    J[:C, C + 2] = -(G / dm) * dS
-    J[:C, C + 3] = -(G / dm) * dO
+    J[:C, C:] = np.outer(-G / dm, dv)
+    J[:C, C + 1] = -death_phi_prime(kp, E) * w
 
     # substrate rows; moment sums over interior cells only
     ci = grid.centers.copy()
     ci[0] = 0.0
     ci[-1] = 0.0
-    cw = ci * dm
     moment = float(np.dot(ci, w)) * dm
-
-    J[C, :C] = -kp.k1 * fac["rt_eps"] * cw
-    J[C, C] = -kp.k1 * moment * dN
-    J[C, C + 2] = -kp.k1 * moment * dS
-    J[C, C + 3] = -kp.k1 * moment * dO
-
-    J[C + 1, :C] = fac["qE"] * cw
-    J[C + 1, C + 1] = moment * fac["dqE_dE"]
-    J[C + 1, C + 2] = moment * fac["dqE_dS"]
-
-    J[C + 2, :C] = -(kp.k2 * fac["qE"] + kp.k3 * fac["rt_eps"]) * cw
-    J[C + 2, C] = -kp.k3 * moment * dN
-    J[C + 2, C + 1] = -kp.k2 * moment * fac["dqE_dE"]
-    J[C + 2, C + 2] = -moment * (kp.k2 * fac["dqE_dS"] + kp.k3 * dS)
-    J[C + 2, C + 3] = -kp.k3 * moment * dO
-
-    rN, rS, rO = fac["drt"]
-    J[C + 3, :C] = -kp.k4 * fac["rt"] * cw
-    J[C + 3, C] = -kp.k4 * moment * rN
-    J[C + 3, C + 2] = -kp.k4 * moment * rS
-    J[C + 3, C + 3] = -kp.k4 * moment * rO
+    J[C:, :C] = np.outer(b, ci * dm)
+    J[C:, C:] = moment * db
 
     return J
 

@@ -191,6 +191,8 @@ def test_tiny_quadrature_is_config_error_before_output(tmp_path, capsys):
         (SHORT, ["--dt", "0.3"], "step size 0.3 does not divide t_final 1"),
         (SHORT, ["--model", "ode", "--t-final", "1e-12"],
          "t_final 1e-12 is shorter than half the step size"),
+        (SHORT, ["--dt", "1e-300"], "more than the 1000000 allowed"),
+        (SHORT, ["--dt", "1e-7"], "step size 1e-07 gives 1e+07 steps"),
     ]
     for text, flags, message in cases:
         cfg = write(tmp_path, text)

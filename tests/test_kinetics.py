@@ -7,8 +7,8 @@ from hypothesis import strategies as st
 
 from fermsim import (ConfigError, DivisionParams, DomainError, KineticParams,
                      ModelValidityError, TemperatureProfile, compute_lambda,
-                     division_rate, normalize_mass, partition, rate_factors,
-                     temperature)
+                     division_rate, normalize_mass, partition, rate_jacobian,
+                     rates, temperature)
 from fermsim.kinetics import K_E, beta_max, death_phi, death_phi_prime, mu_max
 from fermsim.reduced import ode_rhs_vector
 
@@ -62,9 +62,10 @@ def constant_profile(T):
 @given(N=conc, S=conc, O=conc, T=temp)
 def test_growth_oxygen_floor(N, S, O, T):
     kp = KineticParams()
-    fac = rate_factors(kp, N, 0.0, S, O, T)
-    assert fac["rt_eps"] >= fac["rt"] >= 0.0
-    assert fac["rt_eps"] - fac["rt"] == pytest.approx(
+    v, b = rates(kp, N, 0.0, S, O, T)
+    rt = -b[3] / kp.k4          # growth rate without the floor
+    assert v >= rt >= 0.0
+    assert v - rt == pytest.approx(
         mu_max(kp, T) * (N / (kp.KN + N)) * (S / (kp.KS1 + S)) * kp.eps)
 
 
@@ -77,15 +78,15 @@ def test_growth_rate_linear_in_mass(N, S, E, O, T, m):
     scaled = ode_rhs_vector(0.0, np.array([m, N, E, S, O]), kp, profile)
     assert np.allclose(scaled, m * per_unit, rtol=1e-12, atol=0.0)
     assert per_unit[0] == pytest.approx(
-        rate_factors(kp, N, E, S, O, T)["rt_eps"] - death_phi(kp, E) - kp.kd)
+        rates(kp, N, E, S, O, T)[0] - death_phi(kp, E) - kp.kd)
 
 
 @given(S=conc, E=conc, T=temp)
 def test_ethanol_rate_bounded_and_inhibited(S, E, T):
     kp = KineticParams()
-    q = rate_factors(kp, 0.4, E, S, 0.01, T)["qE"]
+    q = rates(kp, 0.4, E, S, 0.01, T)[1][1]
     assert 0.0 <= q <= beta_max(kp, T)
-    assert rate_factors(kp, 0.4, E + 10.0, S, 0.01, T)["qE"] <= q  # product inhibition
+    assert rates(kp, 0.4, E + 10.0, S, 0.01, T)[1][1] <= q  # product inhibition
 
 
 @given(S=conc, E=conc, N=conc, O=conc, T=temp, m=mass)
@@ -95,6 +96,26 @@ def test_sugar_rate_is_yield_combination(S, E, N, O, T, m):
     _, Ndot, Edot, Sdot, _ = ode_rhs_vector(
         0.0, np.array([m, N, E, S, O]), kp, constant_profile(T))
     assert Sdot == pytest.approx(-kp.k2 * Edot + kp.k3 / kp.k1 * Ndot)
+
+
+@given(N=conc, E=conc, S=conc, O=conc, T=temp)
+@settings(max_examples=100)
+def test_rate_jacobian_matches_central_differences(N, E, S, O, T):
+    kp = KineticParams()
+    x = np.array([N, E, S, O])
+    half_sat = (kp.KN, K_E(kp, T), kp.KS2, kp.KO)
+    dv, db = rate_jacobian(kp, N, E, S, O, T)
+    assert dv.shape == (4,) and db.shape == (4, 4)
+    for j in range(4):
+        # a step small against the Michaelis constant resolves the curvature
+        # near 0; round-off in rates of size <= ~10 limits the absolute error
+        h = 1e-4 * (half_sat[j] + x[j])
+        up, down = x.copy(), x.copy()
+        up[j] += h
+        down[j] -= h
+        (v1, b1), (v0, b0) = rates(kp, *up, T), rates(kp, *down, T)
+        fd = (np.array([v1, *b1]) - np.array([v0, *b0])) / (2.0 * h)
+        assert np.array([dv[j], *db[:, j]]) == pytest.approx(fd, rel=1e-5, abs=1e-14 / h)
 
 
 # --- ethanol toxicity -------------------------------------------------------

@@ -4,6 +4,7 @@ import pytest
 from fermsim import NewtonConfig, run_ode
 from fermsim.oracles import fd_jacobian, jacobian_deviation
 from fermsim.reduced import ode_jacobian_vector, ode_rhs_vector
+from fermsim.system import rhs_vector
 
 
 def test_rhs_signs(kp, profile):
@@ -20,6 +21,23 @@ def test_zero_biomass_is_stationary_for_substrates(kp, profile):
     y = np.array([0.0, 0.4, 0.0, 193.0, 0.012])
     dy = ode_rhs_vector(0.0, y, kp, profile)
     assert np.all(dy == 0.0)
+
+
+def test_substrate_rates_equal_full_model_at_same_biomass(op30, kp, profile):
+    # both models multiply the one per-biomass rate vector by the biomass,
+    # so at a density whose interior first moment is X they agree exactly
+    grid = op30.grid
+    C = grid.n_cells
+    rng = np.random.default_rng(11)
+    for t in (0.0, 10.0, 20.0):
+        w = rng.uniform(0.0, 3.0, C)
+        X = grid.dm * float(np.dot(grid.centers[1:C - 1], w[1:C - 1]))
+        substrates = np.array([rng.uniform(0.0, 0.5), rng.uniform(0.0, 110.0),
+                               rng.uniform(0.0, 200.0), rng.uniform(0.0, 0.02)])
+        full = rhs_vector(t, np.concatenate([w, substrates]), op30, kp, profile)
+        reduced = ode_rhs_vector(t, np.array([X, *substrates]), kp, profile)
+        assert np.all(reduced[1:] != 0.0)
+        assert np.array_equal(full[C:], reduced[1:])
 
 
 def test_jacobian_matches_finite_differences(kp, profile):
