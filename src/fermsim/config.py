@@ -4,9 +4,10 @@ The config file is plain text: one ``key = value`` pair per line, ``#``
 starts a comment, blank lines are ignored.  Nested structure uses dotted
 keys (``division.gamma = 200``).  The bare names of the standard model
 parameters (``mu1``, ``gamma``, ``tol``, ...) are accepted as aliases for
-their dotted forms.  Values are decimal or scientific-notation numbers;
-``snapshot_times`` takes a comma-separated list; ``model``,
-``distribution.kind`` and ``output_dir`` take strings.
+their dotted forms.  Values are finite decimal or scientific-notation
+numbers (nan and inf are rejected); ``snapshot_times`` takes a
+comma-separated list; ``model``, ``distribution.kind`` and ``output_dir``
+take strings.
 
 An empty file yields the full default configuration: the standard
 parameter set, 150 mass cells on [0.001, 0.999], h = 1/192 day, 20 days,
@@ -16,6 +17,7 @@ initial concentrations / sugar yields documented in the README.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, fields, replace
 
 from .distributions import KINDS, DistributionSpec
@@ -99,9 +101,12 @@ def default_config() -> SimulationConfig:
 # top level, field name, parser)
 def _float(key, raw):
     try:
-        return float(raw)
+        value = float(raw)
     except ValueError:
         raise ConfigError(f"key {key!r}: expected a number, got {raw!r}") from None
+    if not math.isfinite(value):
+        raise ConfigError(f"key {key!r}: expected a finite number, got {raw!r}")
+    return value
 
 
 def _int(key, raw):

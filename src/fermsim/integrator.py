@@ -12,13 +12,17 @@ product, frozen across iterations and across steps.  It is rebuilt at the
 current iterate at the first step, when h changes, and whenever one
 iteration shrinks max|g| by less than the factor THETA_MAX.  Each step
 starts from the explicit Euler predictor y_n + h f(t_n, y_n), and f at the
-accepted iterate is the next step's f(t_n, y_n).
+accepted iterate is the next step's f(t_n, y_n).  The stepper copies what
+f returns before it keeps it and writes into no array that f or J
+returns, so both may hand back one reused buffer.
 
 A step whose iteration diverges with a matrix carried over from an earlier
 step, reaches a non-finite residual, hits a singular matrix or makes f or
-J raise NumericsError or DomainError starts over once from y_n with a
-matrix built there, the start of a full Newton iteration.  If that fails
-as well, or max_iterations updates pass, the step raises StepFailure.
+J raise NumericsError, DomainError or ZeroDivisionError (a rate law on
+Python floats whose denominator is exactly zero) starts over once from
+y_n with a matrix built there, the start of a full Newton iteration.  If
+that fails as well, or max_iterations updates pass, the step raises
+StepFailure.
 """
 
 from __future__ import annotations
@@ -40,7 +44,7 @@ THETA_MAX = 1e-3
 #: least, so a march this long already takes minutes.
 MAX_STEPS = 1_000_000
 
-_STEP_ERRORS = (NumericsError, DomainError, np.linalg.LinAlgError)
+_STEP_ERRORS = (NumericsError, DomainError, ZeroDivisionError, np.linalg.LinAlgError)
 
 
 @dataclass(frozen=True)
@@ -84,12 +88,15 @@ class StepState:
         self.inverse = None
         self.h = None
         self.f = None
+        self.identity = None
 
     def rebuild(self, jac, t: float, y: np.ndarray, h: float) -> None:
         self.inverse = None  # drop the old inverse before building the new one
         A = -0.5 * h * np.asarray(jac(t, y), dtype=float)
         A.flat[::len(A) + 1] += 1.0
-        self.inverse = np.linalg.solve(A, np.identity(len(A)))
+        if self.identity is None or len(self.identity) != len(A):
+            self.identity = np.identity(len(A))
+        self.inverse = np.linalg.solve(A, self.identity)
         self.h = h
 
 
@@ -117,7 +124,7 @@ def trapezoid_step(y_n: np.ndarray, t_n: float, h: float, f, jac,
         return StepFailure(message, record=rec)
 
     try:
-        f_n = state.f if state.f is not None else np.asarray(f(t_n, y_n), dtype=float)
+        f_n = state.f if state.f is not None else np.array(f(t_n, y_n), dtype=float)
         y = y_n + h * f_n
     except _STEP_ERRORS as exc:
         raise failed(f"step failed at t={t1}: {exc}") from exc
@@ -126,10 +133,14 @@ def trapezoid_step(y_n: np.ndarray, t_n: float, h: float, f, jac,
     while True:
         try:
             f1 = np.asarray(f(t1, y), dtype=float)
-            g = y - y_n - 0.5 * h * (f1 + f_n)
+            # g = (y - y_n) - (h/2) (f1 + f_n), rounded in that order
+            g = y - y_n
+            half_h_f = f1 + f_n
+            half_h_f *= 0.5 * h
+            g -= half_h_f
             res = float(np.abs(g).max())
             if res <= cfg.tolerance:
-                state.f = f1
+                state.f = f1.copy()
                 return y, StepRecord(t=t1, newton_iterations=max(updates, 1),
                                      residual_norm=res, converged=True)
             if updates >= cfg.max_iterations:

@@ -9,6 +9,8 @@ substrates change at b X.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .errors import NumericsError
@@ -19,11 +21,14 @@ from .kinetics import (KineticParams, TemperatureProfile, death_phi, death_phi_p
 
 def ode_rhs_vector(t: float, y: np.ndarray, kp: KineticParams,
                    profile: TemperatureProfile) -> np.ndarray:
-    if not np.all(np.isfinite(y)):
+    X, N, E, S, O = y.tolist()
+    # A finite sum means every entry is finite; finite entries whose sum
+    # overflows pass the full scan.
+    if not math.isfinite(X + N + E + S + O) and not all(map(math.isfinite, (X, N, E, S, O))):
         raise NumericsError(f"non-finite ODE state at t={t}")
-    X, N, E, S, O = y
     v, b = rates(kp, N, E, S, O, temperature(profile, t))
-    return np.multiply((v - death_phi(kp, E) - kp.kd, *b), X)
+    return np.array([(v - death_phi(kp, E) - kp.kd) * X,
+                     b[0] * X, b[1] * X, b[2] * X, b[3] * X])
 
 
 def ode_jacobian_vector(t: float, y: np.ndarray, kp: KineticParams,

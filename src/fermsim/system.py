@@ -14,6 +14,8 @@ interior cells i = 1 .. C-2 only, so they match the reduced model's b*X.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .errors import NumericsError
@@ -29,40 +31,60 @@ from .kinetics import (
 from .operator import DiscreteOperator
 
 
+def _check_finite(t: float, y: np.ndarray) -> None:
+    """Raise NumericsError if y holds nan or +-inf.
+
+    A finite sum means every entry is finite; only a sum that is not
+    finite, which finite entries can also give by overflowing, needs the
+    full scan.
+    """
+    if math.isfinite(y.sum()):
+        return
+    bad = np.flatnonzero(~np.isfinite(y))
+    if len(bad):
+        raise NumericsError(f"non-finite state entries at indices {bad[:8].tolist()} (t={t})")
+
+
 def rhs_vector(t: float, y: np.ndarray, op: DiscreteOperator,
                kp: KineticParams, profile: TemperatureProfile) -> np.ndarray:
     """Time derivative of the packed state vector."""
-    if not np.all(np.isfinite(y)):
-        bad = np.flatnonzero(~np.isfinite(y))
-        raise NumericsError(f"non-finite state entries at indices {bad[:8].tolist()} (t={t})")
+    _check_finite(t, y)
     grid = op.grid
     C = grid.n_cells
     w = y[:C]
-    N, E, S, O = y[C], y[C + 1], y[C + 2], y[C + 3]
+    N, E, S, O = y[C:].tolist()
     v, b = rates(kp, N, E, S, O, temperature(profile, t))
     phi = death_phi(kp, E)
 
-    vel = v * grid.edges                    # edge velocities, C+1
-    flux = np.zeros(C + 1)
-    flux[1:C] = vel[1:C] * w[:C - 1]        # upwind; zero in/outflow at ends
-
-    wdot = ((-(flux[1:] - flux[:-1]) + 2.0 * (op.K @ w) - op.gamma_int * w)
-            / grid.dm - (phi + kp.kd) * w)
+    # Upwind fluxes through the C-1 interior edges; the end edges carry no
+    # flux.  The steps below round as the expression
+    #   (-(flux[1:] - flux[:-1]) + 2 K w - gamma w) / dm - (phi + kd) w
+    # over the zero-padded flux does (-a + b is b - a, signed zeros too).
+    flux = v * grid.edges[1:C]
+    flux *= w[:C - 1]
+    out = np.empty(C + 4)
+    wdot = out[:C]
+    wdot[0] = flux[0]
+    np.subtract(flux[1:], flux[:-1], out=wdot[1:C - 1])
+    wdot[C - 1] = 0.0 - flux[-1]
+    term = op.K @ w
+    term *= 2.0
+    np.subtract(term, wdot, out=wdot)
+    np.multiply(op.gamma_int, w, out=term)
+    wdot -= term
+    wdot /= grid.dm
+    np.multiply(phi + kp.kd, w, out=term)
+    wdot -= term
 
     moment = grid.dm * float(np.dot(grid.centers[1:C - 1], w[1:C - 1]))
-
-    out = np.empty_like(y)
-    out[:C] = wdot
-    out[C:] = np.multiply(b, moment)
+    out[C:] = [rate * moment for rate in b]
     return out
 
 
 def jacobian_vector(t: float, y: np.ndarray, op: DiscreteOperator,
                     kp: KineticParams, profile: TemperatureProfile) -> np.ndarray:
     """Analytic Jacobian of :func:`rhs_vector` with respect to y."""
-    if not np.all(np.isfinite(y)):
-        bad = np.flatnonzero(~np.isfinite(y))
-        raise NumericsError(f"non-finite state entries at indices {bad[:8].tolist()} (t={t})")
+    _check_finite(t, y)
     grid = op.grid
     C = grid.n_cells
     e = grid.edges

@@ -203,6 +203,27 @@ def test_tiny_quadrature_is_config_error_before_output(tmp_path, capsys):
         assert not out.exists()
 
 
+@pytest.mark.parametrize("text, flags", [
+    ("", ["--dt", "nan"]),
+    ("newton.tolerance = nan\n", []),
+    ("kinetic.kd = nan\n", []),
+    ("division.gamma = nan\n", []),
+    ("grid.n_cells = inf\n", []),
+    ("grid.n_cells = nan\n", []),
+    ("newton.max_iterations = inf\n", []),
+    ("initial.S0 = -inf\n", []),
+    ("snapshot_times = 0, inf\n", []),
+])
+def test_non_finite_number_is_config_error_before_output(tmp_path, capsys, text, flags):
+    out = tmp_path / "never"
+    cfg = write(tmp_path, SHORT + text)
+    assert main(["simulate", "--config", cfg, *flags, "--output-dir", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert "expected a finite number" in err
+    assert len(err.strip().splitlines()) == 1
+    assert not out.exists()
+
+
 def test_missing_config_exit_code(tmp_path):
     assert main(["simulate", "--config", str(tmp_path / "absent.cfg")]) == 1
 

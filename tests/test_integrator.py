@@ -130,7 +130,7 @@ def test_stage_times_stay_inside_horizon():
         assert traj.times[-1] == 20.0
 
 
-@pytest.mark.parametrize("error", [NumericsError, DomainError])
+@pytest.mark.parametrize("error", [NumericsError, DomainError, ZeroDivisionError])
 def test_model_errors_inside_a_step_end_the_run_cleanly(error):
     def f(t, y):
         if not np.all(np.isfinite(y)):
@@ -164,6 +164,33 @@ def test_every_accepted_step_solves_the_trapezoid_equation(op30, kp, profile):
     for k in range(len(t) - 1):
         g = y[k + 1] - y[k] - 0.5 * h * (f(t[k + 1], y[k + 1]) + f(t[k], y[k]))
         assert np.max(np.abs(g)) <= 1e-10, t[k + 1]
+
+
+def test_reused_output_buffers_give_the_same_trajectory(op30, kp, profile):
+    # f and jac hand back one buffer each, rewritten on every call; the
+    # stepper must neither write into them nor keep f's output by reference
+    f, jac, y0 = op30_problem(op30, kp, profile)
+    buffers = {"f": np.empty(len(y0)), "jac": np.empty((len(y0), len(y0)))}
+    last = {}
+
+    def shared(name, fn):
+        def call(t, y):
+            buf = buffers[name]
+            if name in last:
+                assert np.array_equal(buf, last[name])  # untouched since the last call
+            buf[...] = fn(t, y)
+            last[name] = buf.copy()
+            return buf
+        return call
+
+    fresh = integrate(f, jac, y0, 0.25, 1.0 / 192.0)
+    reused = integrate(shared("f", f), shared("jac", jac), y0, 0.25, 1.0 / 192.0)
+    assert fresh.completed and reused.completed
+    assert np.array_equal(reused.states, fresh.states)
+    assert [r.newton_iterations for r in reused.records] == \
+        [r.newton_iterations for r in fresh.records]
+    for name in buffers:
+        assert np.array_equal(buffers[name], last[name])
 
 
 def test_iteration_matrix_is_reused_across_steps(op30, kp, profile):

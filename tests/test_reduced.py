@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from fermsim import NewtonConfig, run_ode
+from fermsim import NewtonConfig, NumericsError, run_ode
 from fermsim.oracles import fd_jacobian, jacobian_deviation
 from fermsim.reduced import ode_jacobian_vector, ode_rhs_vector
 from fermsim.system import rhs_vector
@@ -15,6 +15,22 @@ def test_rhs_signs(kp, profile):
     assert dy[2] > 0.0   # ethanol produced
     assert dy[3] < 0.0   # sugar consumed
     assert dy[4] < 0.0   # oxygen consumed
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("index", range(5))
+def test_rhs_rejects_non_finite_entry(kp, profile, value, index):
+    y = np.array([0.5, 0.40, 10.0, 150.0, 0.005])
+    y[index] = value
+    with pytest.raises(NumericsError):
+        ode_rhs_vector(0.0, y, kp, profile)
+
+
+def test_rhs_accepts_finite_state_whose_sum_overflows(kp, profile):
+    y = np.array([1e308, 0.40, 10.0, 1e308, 0.005])
+    with np.errstate(over="ignore"):
+        assert not np.isfinite(y.sum())
+    ode_rhs_vector(0.0, y, kp, profile)
 
 
 def test_zero_biomass_is_stationary_for_substrates(kp, profile):

@@ -26,6 +26,26 @@ def test_rhs_rejects_nonfinite(op30, kp, profile):
         rhs_vector(0.0, y, op30, kp, profile)
 
 
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_guard_finds_non_finite_entry_anywhere(op30, kp, profile, value):
+    C = op30.grid.n_cells
+    for index in (0, C - 1, C, C + 1, C + 2, C + 3):
+        y = state_vector(op30)
+        y[index] = value
+        for fn in (rhs_vector, jacobian_vector):
+            with pytest.raises(NumericsError, match=f"indices \\[{index}\\]"):
+                fn(0.0, y, op30, kp, profile)
+
+
+def test_guard_passes_finite_state_whose_sum_overflows(op30, kp, profile):
+    y = state_vector(op30)
+    y[0] = y[1] = 1e308
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert not np.isfinite(y.sum())
+        rhs_vector(0.0, y, op30, kp, profile)
+        jacobian_vector(0.0, y, op30, kp, profile)
+
+
 def test_no_mass_enters_or_leaves_through_boundaries(op30, kp, profile):
     # With division and death switched off, pure growth transport cannot
     # create cells: zero inflow at the left edge and zero outflow at the
