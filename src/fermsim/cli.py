@@ -4,13 +4,13 @@ Subcommands:
 
 * ``simulate --config <path> [--model ide|ode] [--cells N] [--dt H]
   [--t-final D] [--distribution KIND] [--output-dir PATH]`` — run one
-  simulation; flags override config-file keys.
+  simulation; each flag is one config key and overrides the file.
 * ``compare --a <dir> --b <dir> --out <file>`` — per-state
   relative-difference report between two completed runs.
 * ``verify`` — run the independent oracle suite.
 
-Exit codes: 0 success, 1 configuration error, 2 integration failure,
-3 verification failure.
+Exit codes: 0 success, 1 configuration or usage error, 2 integration
+failure, 3 verification failure.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ import argparse
 import sys
 
 from . import simulate as sim
-from .config import apply_overrides, default_config, load_config
+from .config import load_config
 from .errors import ConfigError, IntegrationFailure
 from .oracles import run_all
 
@@ -29,20 +29,29 @@ EXIT_INTEGRATION = 2
 EXIT_VERIFICATION = 3
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reports a usage error as a ConfigError instead of exiting 2."""
+
+    def error(self, message):
+        raise ConfigError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="fermsim",
-        description="Population-balance fermentation simulator")
+    parser = _Parser(prog="fermsim",
+                     description="Population-balance fermentation simulator")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_sim = sub.add_parser("simulate", help="run one simulation")
     p_sim.add_argument("--config", help="flat key = value config file")
-    p_sim.add_argument("--model", choices=("ide", "ode"))
-    p_sim.add_argument("--cells", type=int, help="number of mass cells")
-    p_sim.add_argument("--dt", type=float, help="time step in days")
-    p_sim.add_argument("--t-final", type=float, help="horizon in days")
-    p_sim.add_argument("--distribution", help="initial distribution kind")
-    p_sim.add_argument("--output-dir", help="artifact directory")
+    p_sim.add_argument("--model", dest="model", metavar="ide|ode", help="model to run")
+    p_sim.add_argument("--cells", dest="grid.n_cells", metavar="N",
+                       help="number of mass cells")
+    p_sim.add_argument("--dt", dest="dt", metavar="H", help="time step in days")
+    p_sim.add_argument("--t-final", dest="t_final", metavar="D", help="horizon in days")
+    p_sim.add_argument("--distribution", dest="distribution.kind", metavar="KIND",
+                       help="initial distribution kind")
+    p_sim.add_argument("--output-dir", dest="output_dir", metavar="PATH",
+                       help="artifact directory")
 
     p_cmp = sub.add_parser("compare", help="compare two completed runs")
     p_cmp.add_argument("--a", required=True, help="first run directory")
@@ -56,23 +65,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _simulate(args) -> int:
-    config = load_config(args.config) if args.config else default_config()
-    overrides = {}
-    if args.model is not None:
-        overrides["model"] = args.model
-    if args.cells is not None:
-        overrides["grid.n_cells"] = args.cells
-    if args.dt is not None:
-        overrides["dt"] = repr(args.dt)
-    if args.t_final is not None:
-        overrides["t_final"] = repr(args.t_final)
-    if args.distribution is not None:
-        overrides["distribution.kind"] = args.distribution
-    if args.output_dir is not None:
-        overrides["output_dir"] = args.output_dir
-    if overrides:
-        config = apply_overrides(config, overrides)
-    result = sim.run(config)
+    flags = {key: value for key, value in vars(args).items()
+             if key not in ("command", "config") and value is not None}
+    result = sim.run(load_config(args.config, flags))
     for path in result.files:
         print(path)
     return EXIT_OK
@@ -94,8 +89,8 @@ def _verify(args) -> int:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         if args.command == "simulate":
             return _simulate(args)
         if args.command == "compare":

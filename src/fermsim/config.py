@@ -74,8 +74,6 @@ class SimulationConfig:
             raise ConfigError("grid.n_cells must be >= 3")
         if not self.m_max > self.m_min:
             raise ConfigError("grid.m_max must exceed grid.m_min")
-        if self.dt <= 0:
-            raise ConfigError("dt must be > 0")
         if self.t_final <= 0:
             raise ConfigError("t_final must be > 0")
         step_count(self.t_final, self.dt)
@@ -177,6 +175,14 @@ _ALIASES.update({
 _ALIASES["beta"] = "division.beta"
 
 
+def _parse(key: str, raw: str, where: str = ""):
+    """(canonical key, parsed value) of one ``key = value`` assignment."""
+    canonical = _ALIASES.get(key, key)
+    if canonical not in _TABLE:
+        raise ConfigError(f"{where}unknown key {key!r}")
+    return canonical, _TABLE[canonical][2](key, raw)
+
+
 def parse_assignments(text: str) -> dict:
     """Parse flat ``key = value`` text into {canonical key: parsed value}."""
     parsed = {}
@@ -187,11 +193,8 @@ def parse_assignments(text: str) -> dict:
         if "=" not in stripped:
             raise ConfigError(f"line {lineno}: expected 'key = value', got {line!r}")
         key, raw = (part.strip() for part in stripped.split("=", 1))
-        canonical = _ALIASES.get(key, key)
-        if canonical not in _TABLE:
-            raise ConfigError(f"line {lineno}: unknown key {key!r}")
-        _, _, parser = _TABLE[canonical]
-        parsed[canonical] = parser(key, raw)
+        canonical, value = _parse(key, raw, f"line {lineno}: ")
+        parsed[canonical] = value
     return parsed
 
 
@@ -212,11 +215,7 @@ def _apply(config: SimulationConfig, assignments: dict) -> SimulationConfig:
     # default ramp window at [0.475, 0.525] of the horizon.
     if "t_final" in top and "profile" not in sections:
         tf = top["t_final"]
-        sections["profile"] = {
-            "t_ramp_start": 0.475 * tf,
-            "t_ramp_end": 0.525 * tf,
-            "t_final": tf,
-        }
+        sections["profile"] = {"t_ramp_start": 0.475 * tf, "t_ramp_end": 0.525 * tf}
     # ... and drop stale snapshot times beyond the new horizon.
     if "t_final" in top and "snapshot_times" not in top:
         kept = tuple(t for t in config.snapshot_times if t <= top["t_final"])
@@ -226,27 +225,22 @@ def _apply(config: SimulationConfig, assignments: dict) -> SimulationConfig:
         for section, values in sections.items():
             kwargs[section] = replace(getattr(config, section), **values)
         return replace(config, **kwargs)
-    except ConfigError:
-        raise
     except (TypeError, ValueError) as exc:
         raise ConfigError(str(exc)) from exc
 
 
-def build_config(assignments: dict) -> SimulationConfig:
-    """Build a validated SimulationConfig from canonical-key assignments."""
-    return _apply(default_config(), assignments)
-
-
-def load_config(path: str) -> SimulationConfig:
-    try:
-        with open(path, "r", encoding="utf-8") as handle:
-            text = handle.read()
-    except OSError as exc:
-        raise ConfigError(f"cannot read config file {path}: {exc}") from exc
-    return build_config(parse_assignments(text))
-
-
-def apply_overrides(config: SimulationConfig, overrides: dict) -> SimulationConfig:
-    """Apply {key: raw string value} overrides (CLI flags) on top of a config."""
-    text = "\n".join(f"{key} = {value}" for key, value in overrides.items())
-    return _apply(config, parse_assignments(text))
+def load_config(path: str = None, overrides: dict = None) -> SimulationConfig:
+    """The default config, then the ``key = value`` file at ``path``, then
+    ``overrides`` ({key: raw string}, e.g. command-line flags); each layer is
+    validated alone, and the ramp and snapshot rules see one layer's keys."""
+    config = default_config()
+    if path is not None:
+        try:
+            with open(path, "r", encoding="utf-8") as handle:
+                text = handle.read()
+        except OSError as exc:
+            raise ConfigError(f"cannot read config file {path}: {exc}") from exc
+        config = _apply(config, parse_assignments(text))
+    if overrides:
+        config = _apply(config, dict(_parse(key, raw) for key, raw in overrides.items()))
+    return config

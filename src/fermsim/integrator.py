@@ -172,10 +172,12 @@ def trapezoid_step(y_n: np.ndarray, t_n: float, h: float, f, jac,
 def step_count(t_final: float, h: float) -> int:
     """Number of steps of size ``h`` that march [0, t_final].
 
-    Raises ConfigError unless ``h`` divides ``t_final``, when a positive
-    ``t_final`` is too short for one step, or when the march would take
-    more than MAX_STEPS steps.
+    Raises ConfigError unless ``h`` is positive and divides ``t_final``,
+    when a positive ``t_final`` is too short for one step, or when the
+    march would take more than MAX_STEPS steps.
     """
+    if not h > 0:
+        raise ConfigError(f"step size must be > 0, got {h}")
     if t_final < 0:
         raise ConfigError("t_final must be >= 0")
     if t_final == 0:

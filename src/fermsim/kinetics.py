@@ -112,18 +112,16 @@ class TemperatureProfile:
     T_high: float = 18.0
     t_ramp_start: float = 9.5
     t_ramp_end: float = 10.5
-    t_final: float = 20.0
 
     def __post_init__(self):
-        if not 0.0 <= self.t_ramp_start <= self.t_ramp_end <= self.t_final:
-            raise ConfigError(
-                "temperature profile requires 0 <= t_ramp_start <= t_ramp_end <= t_final")
+        if not 0.0 <= self.t_ramp_start <= self.t_ramp_end:
+            raise ConfigError("temperature profile requires 0 <= t_ramp_start <= t_ramp_end")
 
 
 def temperature(profile: TemperatureProfile, t: float) -> float:
-    """Temperature in degC at time t (days)."""
-    if t < 0.0 or t > profile.t_final:
-        raise DomainError(f"t={t} outside [0, {profile.t_final}]")
+    """Temperature in degC at time t >= 0 (days); T_high after the ramp."""
+    if t < 0.0:
+        raise DomainError(f"t={t} is negative")
     if t <= profile.t_ramp_start:
         return profile.T_low
     if t >= profile.t_ramp_end:

@@ -97,8 +97,13 @@ def _newton_column(trajectory: Trajectory) -> np.ndarray:
     return iters
 
 
-def _snapshot_indices(times: np.ndarray, snapshot_times) -> dict:
-    return {t_req: int(np.argmin(np.abs(times - t_req))) for t_req in snapshot_times}
+def _nearest(times: np.ndarray, targets) -> np.ndarray:
+    """Rows of the ascending ``times`` nearest each of ``targets``; a tie
+    picks the earlier row, as ``argmin`` of the distances does."""
+    after = np.searchsorted(times, targets)
+    left = np.maximum(after - 1, 0)
+    right = np.minimum(after, len(times) - 1)
+    return np.where(targets - times[left] <= times[right] - targets, left, right)
 
 
 def _summary_lines(config, trajectory, finals, wall_time):
@@ -168,7 +173,8 @@ def run(config: SimulationConfig) -> RunResult:
     _write_csv(files[0], header, rows)
 
     if config.model == "ide":
-        for t_req, idx in _snapshot_indices(times, config.snapshot_times).items():
+        snapshots = dict(zip(config.snapshot_times, _nearest(times, config.snapshot_times)))
+        for t_req, idx in snapshots.items():
             if t_req > times[-1] + 0.5 * config.dt:
                 continue  # not reached (partial trajectory)
             path = os.path.join(config.output_dir, f"density_t{t_req:g}.csv")
@@ -207,29 +213,32 @@ def compare(dir_a: str, dir_b: str, out_path: str,
     row per state with t = -1 holding the max over the whole horizon.
     Returns the rows.
     """
-    header_a, data_a = read_csv(os.path.join(dir_a, "trajectory.csv"))
-    header_b, data_b = read_csv(os.path.join(dir_b, "trajectory.csv"))
+    runs = []
+    for run_dir in (dir_a, dir_b):
+        path = os.path.join(run_dir, "trajectory.csv")
+        header, data = read_csv(path)
+        if "t" not in header or not np.all(np.diff(data[:, header.index("t")]) > 0):
+            raise ConfigError(f"malformed CSV file {path}: no strictly increasing t column")
+        runs.append((header, data, data[:, header.index("t")]))
+    (header_a, data_a, t_a), (header_b, data_b, t_b) = runs
     shared = [c for c in header_a if c in header_b and c not in _NON_STATE]
     if not shared:
         raise ConfigError("trajectories share no state columns")
-    t_a, t_b = data_a[:, header_a.index("t")], data_b[:, header_b.index("t")]
     if times is None:
         horizon = min(t_a[-1], t_b[-1])
         times = [t for t in _COMPARE_TIMES if t <= horizon] or [horizon]
 
+    # b sampled at the requested times and at a's time points via nearest rows
+    ia_req, ib_req, ib_all = _nearest(t_a, times), _nearest(t_b, times), _nearest(t_b, t_a)
     rows = []
     for state in shared:
         col_a = data_a[:, header_a.index(state)]
         col_b = data_b[:, header_b.index(state)]
         scale = max(float(np.max(np.abs(col_a))), 1e-300)
-        # b sampled at a's requested times via nearest rows in each run
-        for t_req in times:
-            ia = int(np.argmin(np.abs(t_a - t_req)))
-            ib = int(np.argmin(np.abs(t_b - t_req)))
+        for ia, ib in zip(ia_req, ib_req):
             rel = abs(col_a[ia] - col_b[ib]) / scale
             rows.append((state, t_a[ia], col_a[ia], col_b[ib], rel))
         # max over the horizon on a's time points
-        ib_all = np.argmin(np.abs(t_b[None, :] - t_a[:, None]), axis=1)
         rel_all = np.abs(col_a - col_b[ib_all]) / scale
         max_rel = float(np.max(rel_all))
         rows.append((state, -1.0, col_a[-1], col_b[ib_all[-1]], max_rel))

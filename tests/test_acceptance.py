@@ -51,7 +51,7 @@ def test_criterion_05_jacobian_vs_finite_differences(request, kp, profile,
     n_cells = op.grid.n_cells
     for _ in range(20):
         y = random_admissible_state(rng, n_cells)
-        t = rng.uniform(0.0, profile.t_final)
+        t = rng.uniform(0.0, 20.0)
         analytic = jacobian_vector(t, y, op, kp, profile)
         approx = fd_jacobian(
             t, y, lambda tt, yy: rhs_vector(tt, yy, op, kp, profile), 1e-6)

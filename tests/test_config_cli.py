@@ -3,8 +3,7 @@ import pytest
 
 from fermsim import ConfigError, default_config, load_config
 from fermsim.cli import main
-from fermsim.config import apply_overrides, build_config, parse_assignments
-from fermsim.simulate import read_csv
+from fermsim.simulate import compare, read_csv
 
 
 def write(tmp_path, text, name="run.cfg"):
@@ -84,16 +83,16 @@ def test_invariant_violations(tmp_path):
         load_config(write(tmp_path, "temperature.T_high = 200\n"))
 
 
-def test_t_final_rescales_default_ramp():
-    config = build_config(parse_assignments("t_final = 10"))
-    assert config.profile.t_ramp_start == pytest.approx(4.75)
-    assert config.profile.t_ramp_end == pytest.approx(5.25)
-    assert config.profile.t_final == 10.0
+def test_t_final_rescales_default_ramp(tmp_path):
+    # the rule holds for a file line and for a flag alike
+    for config in (load_config(write(tmp_path, "t_final = 10\n")),
+                   load_config(overrides={"t_final": "10"})):
+        assert config.profile.t_ramp_start == pytest.approx(4.75)
+        assert config.profile.t_ramp_end == pytest.approx(5.25)
 
 
 def test_apply_overrides_preserves_other_fields():
-    config = apply_overrides(default_config(),
-                             {"model": "ode", "grid.n_cells": "60"})
+    config = load_config(overrides={"model": "ode", "grid.n_cells": "60"})
     assert config.model == "ode"
     assert config.n_cells == 60
     assert config.dt == default_config().dt
@@ -186,17 +185,32 @@ def test_config_error_exit_code(tmp_path, capsys):
 
 def test_tiny_quadrature_is_config_error_before_output(tmp_path, capsys):
     out = tmp_path / "never"
+    short = ["simulate", "--config", write(tmp_path, SHORT), "--output-dir", str(out)]
+    quad = write(tmp_path, SHORT + "n_quad = 1\n", "quad.cfg")
+    horizon = write(tmp_path, "temperature.t_final = 20\n", "horizon.cfg")
     cases = [
-        (SHORT + "n_quad = 1\n", [], "n_quad must be >= 2"),
-        (SHORT, ["--dt", "0.3"], "step size 0.3 does not divide t_final 1"),
-        (SHORT, ["--model", "ode", "--t-final", "1e-12"],
+        (["simulate", "--config", quad, "--output-dir", str(out)], "n_quad must be >= 2"),
+        # the horizon is t_final alone
+        (["simulate", "--config", horizon, "--output-dir", str(out)],
+         "unknown key 'temperature.t_final'"),
+        (short + ["--dt", "0.3"], "step size 0.3 does not divide t_final 1"),
+        (short + ["--model", "ode", "--t-final", "1e-12"],
          "t_final 1e-12 is shorter than half the step size"),
-        (SHORT, ["--dt", "1e-300"], "more than the 1000000 allowed"),
-        (SHORT, ["--dt", "1e-7"], "step size 1e-07 gives 1e+07 steps"),
+        (short + ["--dt", "1e-300"], "more than the 1000000 allowed"),
+        (short + ["--dt", "1e-7"], "step size 1e-07 gives 1e+07 steps"),
+        # bad flag values are config errors, as in a file
+        (short + ["--cells", "abc"], "expected a number, got 'abc'"),
+        (short + ["--cells", "2.5"], "expected an integer, got '2.5'"),
+        (short + ["--dt", "x"], "expected a number, got 'x'"),
+        (short + ["--model", "foo"], "model must be one of"),
+        # usage errors
+        (short + ["--cels", "12"], "unrecognized arguments: --cels 12"),
+        (["compare", "--b", str(out), "--out", str(out / "cmp.csv")],
+         "the following arguments are required: --a"),
+        ([], "the following arguments are required: command"),
     ]
-    for text, flags, message in cases:
-        cfg = write(tmp_path, text)
-        assert main(["simulate", "--config", cfg, *flags, "--output-dir", str(out)]) == 1
+    for argv, message in cases:
+        assert main(argv) == 1
         err = capsys.readouterr().err
         assert message in err
         assert len(err.strip().splitlines()) == 1
@@ -224,6 +238,24 @@ def test_non_finite_number_is_config_error_before_output(tmp_path, capsys, text,
     assert not out.exists()
 
 
+def test_horizon_past_day_20_keeps_given_ramp(tmp_path):
+    # a temperature key keeps the ramp as given; T_high then holds to t_final
+    cfg = write(tmp_path, "t_final = 30\ntemperature.T_high = 19\n"
+                          "dt = 0.25\ngrid.n_cells = 20\n")
+    out = tmp_path / "long"
+    assert main(["simulate", "--config", cfg, "--output-dir", str(out)]) == 0
+    header, data = read_csv(out / "trajectory.csv")
+    assert data[-1, 0] == 30.0
+    assert data[-1, header.index("T")] == 19.0
+
+
+def test_python_api_horizon_past_day_20(tmp_path):
+    from conftest import run_with
+    result = run_with(tmp_path, t_final=30.0, n_cells=20, dt=0.25)
+    assert result.trajectory.completed
+    assert result.trajectory.times[-1] == 30.0
+
+
 def test_missing_config_exit_code(tmp_path):
     assert main(["simulate", "--config", str(tmp_path / "absent.cfg")]) == 1
 
@@ -241,6 +273,31 @@ def test_compare_run_against_itself_is_zero(tmp_path):
     assert all(float(line.rsplit(",", 1)[1]) == 0.0 for line in lines[1:])
 
 
+def test_compare_nearest_rows_match_argmin(tmp_path):
+    # a's odd rows lie exactly midway between two of b's: ties go to the earlier row
+    dirs = [tmp_path / "fine", tmp_path / "coarse"]
+    for out, dt in zip(dirs, ("0.0625", "0.125")):
+        assert main(["simulate", "--config", write(tmp_path, SHORT), "--model", "ode",
+                     "--dt", dt, "--output-dir", str(out)]) == 0
+    (header_a, a), (header_b, b) = (read_csv(d / "trajectory.csv") for d in dirs)
+    t_a, t_b = a[:, 0], b[:, 0]
+    times = [0.0625, 0.5, 0.5625, 0.95, 1.0]
+    rows = compare(str(dirs[0]), str(dirs[1]), str(tmp_path / "cmp.csv"), times=times)
+    nearest = lambda t, x: int(np.argmin(np.abs(t - x)))
+    expected = []
+    for state in ("X", "N", "E", "S", "O"):
+        col_a, col_b = a[:, header_a.index(state)], b[:, header_b.index(state)]
+        scale = np.max(np.abs(col_a))
+        for t in times:
+            ia, ib = nearest(t_a, t), nearest(t_b, t)
+            expected.append((state, t_a[ia], col_a[ia], col_b[ib],
+                             abs(col_a[ia] - col_b[ib]) / scale))
+        ib_all = [nearest(t_b, t) for t in t_a]
+        expected.append((state, -1.0, col_a[-1], col_b[ib_all[-1]],
+                         float(np.max(np.abs(col_a - col_b[ib_all]) / scale))))
+    assert rows == expected
+
+
 def test_compare_malformed_trajectory_is_config_error(tmp_path, capsys):
     cfg = write(tmp_path, SHORT)
     good = tmp_path / "good"
@@ -248,7 +305,8 @@ def test_compare_malformed_trajectory_is_config_error(tmp_path, capsys):
     capsys.readouterr()
     bad = tmp_path / "bad"
     bad.mkdir()
-    for text in ("t,X\n0,abc\n", "t,X,N\n0,1\n", "t,X\n"):
+    for text in ("t,X\n0,abc\n", "t,X,N\n0,1\n", "t,X\n", "X,N\n1,2\n",
+                 "t,X\n1,1\n0,2\n", "t,X\n0,1\n0,2\n"):
         (bad / "trajectory.csv").write_text(text)
         assert main(["compare", "--a", str(good), "--b", str(bad),
                      "--out", str(tmp_path / "cmp.csv")]) == 1

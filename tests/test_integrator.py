@@ -68,6 +68,10 @@ def test_step_must_divide_horizon():
     # a positive horizon that rounds to zero steps is rejected too
     with pytest.raises(ConfigError, match="shorter than half the step size"):
         integrate(f, jac, np.array([1.0, 1.0]), 1e-12, 1.0 / 192.0)
+    # so is a step size that is not positive
+    for h in (-0.25, 0.0, float("nan")):
+        with pytest.raises(ConfigError, match="step size must be > 0"):
+            integrate(f, jac, np.array([1.0, 1.0]), 1.0, h)
 
 
 def test_nonconvergence_yields_partial_trajectory():

@@ -62,7 +62,7 @@ def test_jacobian_matches_finite_differences(kp, profile):
         y = np.array([rng.uniform(0.0, 2.0), rng.uniform(0.0, 0.5),
                       rng.uniform(0.0, 110.0), rng.uniform(0.0, 200.0),
                       rng.uniform(0.0, 0.02)])
-        t = rng.uniform(0.0, profile.t_final)
+        t = rng.uniform(0.0, 20.0)
         analytic = ode_jacobian_vector(t, y, kp, profile)
         approx = fd_jacobian(
             t, y, lambda tt, yy: ode_rhs_vector(tt, yy, kp, profile), 1e-7)

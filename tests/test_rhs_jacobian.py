@@ -122,7 +122,7 @@ def test_jacobian_matches_finite_differences(op30, kp, profile):
     rng = np.random.default_rng(123)
     for _ in range(5):
         y = random_admissible_state(rng, op30.grid.n_cells)
-        t = rng.uniform(0.0, profile.t_final)
+        t = rng.uniform(0.0, 20.0)
         analytic = jacobian_vector(t, y, op30, kp, profile)
         approx = fd_jacobian(
             t, y, lambda tt, yy: rhs_vector(tt, yy, op30, kp, profile), 1e-6)
