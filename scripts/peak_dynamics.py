@@ -35,7 +35,7 @@ def main():
     grid = build_grid(config.m_min, config.m_max, config.n_cells)
     small = grid.centers < DivisionParams().m_t
     times = result.trajectory.times
-    w_all = result.trajectory.states[:, :config.n_cells] * 1e6
+    w_all = result.trajectory.states[:, :config.n_cells] * sim.DENSITY_SCALE
 
     print("day  small-peak(m, w)        medium-peak(m, w)       ratio")
     for day in config.snapshot_times:

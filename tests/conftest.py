@@ -76,7 +76,7 @@ def ode_run(tmp_path_factory):
 def density_block(result):
     """(times, w) matrix of a completed full-model run, in cells/ml."""
     C = result.config.n_cells
-    return result.trajectory.times, 1e6 * result.trajectory.states[:, :C]
+    return result.trajectory.times, sim.DENSITY_SCALE * result.trajectory.states[:, :C]
 
 
 def concentration_block(result):

@@ -61,6 +61,32 @@ def test_new_partition_width_recomputes_normalization(tmp_path):
     assert config.division.lam == pytest.approx(compute_lambda(100.0))
 
 
+def test_settable_keys_are_pinned():
+    """Every config key, derived from the dataclass fields; a new field adds
+    a key only together with this list."""
+    from fermsim.config import _TABLE
+    assert sorted(_TABLE) == sorted([
+        *(f"kinetic.{name}" for name in (
+            "mu1", "mu2", "beta1", "beta2", "KE1", "KE2", "KN", "KS1", "KS2", "KO",
+            "k1", "k2", "k3", "k4", "kd", "kd1", "kd2", "tol", "eps")),
+        *(f"division.{name}" for name in ("gamma", "delta", "beta", "m_t", "m_d")),
+        *(f"temperature.{name}" for name in ("T_low", "T_high", "t_ramp_start", "t_ramp_end")),
+        "grid.m_min", "grid.m_max", "grid.n_cells",
+        *(f"distribution.{name}" for name in (
+            "kind", "total_cells", "beta_a", "beta_b", "cutoff", "smoothness",
+            "mean1", "mean2", "std1", "std2", "weight")),
+        *(f"initial.{name}" for name in ("N0", "S0", "O0", "E0")),
+        "newton.tolerance", "newton.max_iterations",
+        "dt", "t_final", "n_quad", "snapshot_times", "output_dir", "model",
+    ])
+    # parsers follow the default's type; every other key takes a float
+    assert {key: entry[2].__name__ for key, entry in _TABLE.items()
+            if entry[2].__name__ != "_float"} == {
+        "grid.n_cells": "_int", "n_quad": "_int", "newton.max_iterations": "_int",
+        "distribution.kind": "_string", "model": "_string", "output_dir": "_string",
+        "snapshot_times": "_float_list"}
+
+
 def test_unknown_key_names_offender(tmp_path):
     with pytest.raises(ConfigError, match="frobnicate"):
         load_config(write(tmp_path, "frobnicate = 1\n"))
@@ -185,13 +211,22 @@ def test_config_error_exit_code(tmp_path, capsys):
 
 def test_tiny_quadrature_is_config_error_before_output(tmp_path, capsys):
     out = tmp_path / "never"
-    short = ["simulate", "--config", write(tmp_path, SHORT), "--output-dir", str(out)]
-    quad = write(tmp_path, SHORT + "n_quad = 1\n", "quad.cfg")
-    horizon = write(tmp_path, "temperature.t_final = 20\n", "horizon.cfg")
+
+    def config_file(text, name):
+        return ["simulate", "--config", write(tmp_path, text, name), "--output-dir", str(out)]
+
+    short = config_file(SHORT, "run.cfg")
     cases = [
-        (["simulate", "--config", quad, "--output-dir", str(out)], "n_quad must be >= 2"),
+        (config_file(SHORT + "n_quad = 1\n", "quad.cfg"), "n_quad must be >= 2"),
+        (config_file(SHORT + "n_quad = 1e300\n", "huge_quad.cfg"),
+         "n_quad 1e+300 is more than the 1000 allowed"),
+        (short + ["--cells", "1e300"], "grid.n_cells 1e+300 is more than the 4096 allowed"),
+        (short + ["--cells", "5000"], "grid.n_cells 5000 is more than the 4096 allowed"),
+        # lambda follows from division.beta and is not a key
+        (config_file("division.lam = 3\n", "lam.cfg"), "unknown key 'division.lam'"),
+        (config_file("lambda = 3\n", "lambda.cfg"), "unknown key 'lambda'"),
         # the horizon is t_final alone
-        (["simulate", "--config", horizon, "--output-dir", str(out)],
+        (config_file("temperature.t_final = 20\n", "horizon.cfg"),
          "unknown key 'temperature.t_final'"),
         (short + ["--dt", "0.3"], "step size 0.3 does not divide t_final 1"),
         (short + ["--model", "ode", "--t-final", "1e-12"],

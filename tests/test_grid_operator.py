@@ -102,7 +102,7 @@ def _reference_assembly(grid, d, n_quad):
     ((0.001, 0.999, 60), {}, 30, 14),
     ((0.001, 0.999, 150), {}, 30, None),
     ((0.0, 1.0, 97), {"m_t": 0.2, "beta": 150.0}, 11, None),
-    ((0.05, 2.0, 120), {"lam": 3.0}, 30, None),
+    ((0.05, 2.0, 120), {"beta": 900.0}, 30, None),
 ], ids=["3cells_q2", "30cells", "60cells", "150cells", "97cells_q11", "120cells_lam"])
 def test_structured_assembly_matches_reference(grid_args, division, n_quad, sub_nonzeros):
     from fermsim import DivisionParams

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -10,6 +11,7 @@ from fermsim import (ConfigError, DivisionParams, DomainError, KineticParams,
                      division_rate, normalize_mass, partition, rate_jacobian,
                      rates, temperature)
 from fermsim.kinetics import K_E, beta_max, death_phi, death_phi_prime, mu_max
+from fermsim.oracles import check_partition_normalization
 from fermsim.reduced import ode_rhs_vector
 
 conc = st.floats(min_value=0.0, max_value=250.0)
@@ -144,6 +146,15 @@ def test_death_phi_prime_matches_finite_difference(E):
 def test_compute_lambda_closed_form():
     assert compute_lambda(400.0) == pytest.approx(0.5 * math.sqrt(400.0 / math.pi))
     assert DivisionParams().lam == pytest.approx(compute_lambda(400.0))
+
+
+def test_lambda_follows_a_replaced_beta():
+    """lambda is derived from beta, so it cannot go stale and p stays normalized."""
+    dp = dataclasses.replace(DivisionParams(), beta=100.0)
+    assert dp.lam == compute_lambda(100.0)
+    # m' = 0.7 and 0.999; at m' = 0.5 the wider Gaussians spill 6% past [0, m']
+    at_07, at_0999 = check_partition_normalization(dp)[1:]
+    assert at_07.passed and at_0999.passed
 
 
 def test_division_rate_piecewise(dp):
