@@ -10,8 +10,10 @@ every daughter node against every mother node.  With g[j, b] =
 Gamma(m'_jb) * w_b (zero at and below m_t, so the m' > m_t condition of p
 adds nothing), K splits into three regions:
 
-* i >= j + 2: every daughter node lies above every mother node, so
-  p = 0 and K[i, j] = 0.
+* i > j: every daughter node lies at or above every mother node, so
+  p = 0 and K[i, j] = 0.  Cell i's last node is ``edges[i + 1]``, the
+  same float as cell i+1's first node, so the strict m' > m test of p
+  excludes the shared edge exactly.
 * j >= i + 2: every mother node lies above every daughter node, so
   p = lam * (E1(m) + E2(m - m' + m_t)) with E1(x) = exp(-beta (x - m_t)^2)
   and E2(x) = exp(-beta x^2), and
@@ -22,10 +24,8 @@ adds nothing), K splits into three regions:
   m_ia - m'_jb + m_t = m_t - k dm + (r_a - r_b) dm for k = j - i, so T is a
   (C, q+1) table and the region costs O(C q^2) exponentials plus one
   matrix-vector product per column.
-* |i - j| <= 1: p is evaluated directly on the same node arrays.  Here
-  daughter and mother nodes coincide at shared cell edges, where round-off
-  in the node positions decides m' > m; evaluating p on the very same
-  floats keeps those decisions, and with them the zero pattern of K.
+* j in {i, i + 1}: the m' > m cut runs through these cell pairs, so p is
+  evaluated directly on the same node arrays.
 """
 
 from __future__ import annotations
@@ -55,6 +55,7 @@ def _cell_nodes_weights(grid: MassGrid, n_quad: int):
     """Trapezoid nodes (C, n_quad+1) and weights (n_quad+1,) per cell."""
     rel = np.linspace(0.0, 1.0, n_quad + 1)
     nodes = grid.edges[:-1, None] + grid.dm * rel[None, :]
+    nodes[:, -1] = grid.edges[1:]                     # shared edges are one float
     weights = np.full(n_quad + 1, grid.dm / n_quad)
     weights[0] *= 0.5
     weights[-1] *= 0.5
@@ -86,19 +87,16 @@ def assemble_operator(grid: MassGrid, d: DivisionParams, n_quad: int = 30) -> Di
     T = np.zeros((C, n_quad + 1))
     diag = np.zeros(C)
     upper = np.zeros(C - 1)                          # K[i, i + 1]
-    lower = np.zeros(C - 1)                          # K[i + 1, i]
     for a in range(n_quad + 1):
         m = nodes[:, a:a + 1]                        # daughter node a of every cell
         shift = d.m_t + (rel[a] - rel) * grid.dm     # (q+1,)
         T += wq[a] * np.exp(-d.beta * (shift - k_dm) ** 2)
         diag += wq[a] * np.einsum("ib,ib->i", partition(d, m, nodes), g)
         upper += wq[a] * np.einsum("ib,ib->i", partition(d, m[:-1], nodes[1:]), g[1:])
-        lower += wq[a] * np.einsum("ib,ib->i", partition(d, m[1:], nodes[:-1]), g[:-1])
 
     K = np.zeros((C, C))
     for j in range(2, C):                            # rows i = 0 .. j-2, k = j .. 2
         K[:j - 1, j] = lam * (e1[:j - 1] * gamma_int[j] + T[j:1:-1] @ g[j])
     np.fill_diagonal(K, diag)
     np.fill_diagonal(K[:, 1:], upper)
-    np.fill_diagonal(K[1:], lower)
     return DiscreteOperator(K=K, gamma_int=gamma_int, grid=grid, n_quad=n_quad)

@@ -15,11 +15,10 @@ import numpy as np
 
 from .config import default_config
 from .grid import build_grid
-from .integrator import integrate
 from .kinetics import (DivisionParams, KineticParams, TemperatureProfile,
                        compute_lambda, division_rate, normalize_mass, partition)
 from .operator import assemble_operator
-from .simulate import setup_ide
+from .simulate import march
 from .system import jacobian_vector, rhs_vector
 
 
@@ -180,7 +179,8 @@ def check_kernel_refinement(n_cells: int = 30, n_quad: int = 30) -> OracleReport
 
 #: (i, j) samples of the 30-cell kernel: far above the diagonal, on the
 #: three central diagonals (around the transition mass and the top cell),
-#: and far below the diagonal, where K vanishes.
+#: and far below the diagonal.  Every sample below the diagonal, the
+#: sub-diagonal ones included, is an exact zero of K.
 _KERNEL_SAMPLES = (
     (0, 29), (2, 14), (5, 20), (11, 13), (12, 25), (13, 15), (16, 27), (20, 29),
     (11, 11), (11, 12), (12, 11), (12, 12), (12, 13), (13, 12),
@@ -249,14 +249,10 @@ def check_jacobian(n_cells: int = 30, n_states: int = 5, seed: int = 7,
 def check_trajectory_positivity() -> OracleReport:
     """The default 20-day run: number density stays nonnegative up to round-off.
 
-    The run is set up by the driver, so it is the run users get.
+    The run is the driver's own march, so it is the run users get.
     """
     config = default_config()
-    op, y0 = setup_ide(config)
-    kp, profile = config.kinetic, config.profile
-    trajectory = integrate(lambda t, y: rhs_vector(t, y, op, kp, profile),
-                           lambda t, y: jacobian_vector(t, y, op, kp, profile),
-                           y0, config.t_final, config.dt, config.newton)
+    trajectory, _ = march(config)
     if not trajectory.completed:
         return OracleReport("trajectory_positivity", float("inf"), 0.0)
     w = trajectory.states[:, :config.n_cells]

@@ -127,13 +127,25 @@ def _summary_lines(config, trajectory, finals, wall_time):
     return lines
 
 
-def setup_ide(config: SimulationConfig):
-    """Operator and initial state (w, N, E, S, O) of the full model."""
+def march(config: SimulationConfig):
+    """Integrate the configured model from its initial state; writes nothing.
+
+    Returns ``(trajectory, grid)``.  A failed step ends the trajectory
+    early (``trajectory.completed`` is False) instead of raising.
+    """
     grid = build_grid(config.m_min, config.m_max, config.n_cells)
+    kp, profile, ini = config.kinetic, config.profile, config.initial
+    substrates = [ini.N0, ini.E0, ini.S0, ini.O0]
+    if config.model == "ode":
+        y0 = np.array([initial_biomass(config), *substrates])
+        return run_ode(y0, config.t_final, config.dt, kp, profile, config.newton), grid
     op = assemble_operator(grid, config.division, config.n_quad)
     w0 = build_initial_density(config.distribution, grid) / DENSITY_SCALE
-    ini = config.initial
-    return op, np.concatenate([w0, [ini.N0, ini.E0, ini.S0, ini.O0]])
+    trajectory = integrate(lambda t, y: rhs_vector(t, y, op, kp, profile),
+                           lambda t, y: jacobian_vector(t, y, op, kp, profile),
+                           np.concatenate([w0, substrates]), config.t_final, config.dt,
+                           config.newton)
+    return trajectory, grid
 
 
 def run(config: SimulationConfig) -> RunResult:
@@ -144,16 +156,7 @@ def run(config: SimulationConfig) -> RunResult:
     """
     os.makedirs(config.output_dir, exist_ok=True)
     start = time.perf_counter()
-    kp, profile, ini = config.kinetic, config.profile, config.initial
-    if config.model == "ode":
-        y0 = np.array([initial_biomass(config), ini.N0, ini.E0, ini.S0, ini.O0])
-        trajectory = run_ode(y0, config.t_final, config.dt, kp, profile, config.newton)
-    else:
-        op, y0 = setup_ide(config)
-        trajectory = integrate(
-            lambda t, y: rhs_vector(t, y, op, kp, profile),
-            lambda t, y: jacobian_vector(t, y, op, kp, profile),
-            y0, config.t_final, config.dt, config.newton)
+    trajectory, grid = march(config)
     wall = time.perf_counter() - start
 
     times, states = trajectory.times, trajectory.states
@@ -161,12 +164,12 @@ def run(config: SimulationConfig) -> RunResult:
         names, columns = ["X", "N", "E", "S", "O"], list(states.T)
     else:
         C = config.n_cells
-        total = DENSITY_SCALE * op.grid.dm * states[:, :C].sum(axis=1)
+        total = DENSITY_SCALE * grid.dm * states[:, :C].sum(axis=1)
         with np.errstate(divide="ignore"):
             log_total = np.where(total > 0.0, np.log10(np.maximum(total, 1e-300)), -math.inf)
         names = ["N", "E", "S", "O", "total_cells", "log10_total_cells"]
         columns = list(states[:, C:].T) + [total, log_total]
-    temps = np.array([temperature(profile, t) for t in times])
+    temps = np.array([temperature(config.profile, t) for t in times])
     header = ["t", *names, "T", "newton_iters"]
     rows = np.column_stack([times, *columns, temps, _newton_column(trajectory)])
     files = [os.path.join(config.output_dir, "trajectory.csv")]
@@ -179,7 +182,7 @@ def run(config: SimulationConfig) -> RunResult:
                 continue  # not reached (partial trajectory)
             path = os.path.join(config.output_dir, f"density_t{t_req:g}.csv")
             w = DENSITY_SCALE * states[idx, :C]
-            _write_csv(path, ["m_center", "w"], np.column_stack([op.grid.centers, w]))
+            _write_csv(path, ["m_center", "w"], np.column_stack([grid.centers, w]))
             files.append(path)
 
     finals = [(name, value) for name, value in zip(header, rows[-1])

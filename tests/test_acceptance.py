@@ -8,6 +8,7 @@ from fermsim import (DivisionParams, NewtonConfig, build_grid, compute_lambda,
 from fermsim.distributions import DistributionSpec, build_initial_density
 from fermsim.oracles import (fd_jacobian, jacobian_deviation,
                              quadrature_oracle, random_admissible_state)
+from fermsim.simulate import DENSITY_SCALE
 from fermsim.system import jacobian_vector, rhs_vector
 
 from conftest import (concentration_block, density_block, interior_maxima,
@@ -63,7 +64,7 @@ def test_criterion_06_temporal_order(grid30, op30, kp, profile):
     # concentrations held at their initial values (linear in w)
     frozen = np.array([0.40, 0.0, 193.0, 0.012])
     C = grid30.n_cells
-    w0 = build_initial_density(DistributionSpec(kind="constant"), grid30) / 1e6
+    w0 = build_initial_density(DistributionSpec(kind="constant"), grid30) / DENSITY_SCALE
 
     def f(t, y):
         return rhs_vector(0.0, np.concatenate([y, frozen]), op30, kp, profile)[:C]

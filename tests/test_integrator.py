@@ -5,6 +5,7 @@ from fermsim import (ConfigError, DistributionSpec, DomainError, KineticParams,
                      NewtonConfig, NumericsError, StepFailure,
                      build_initial_density, integrate)
 from fermsim.integrator import trapezoid_step
+from fermsim.simulate import DENSITY_SCALE
 from fermsim.system import jacobian_vector, rhs_vector
 
 
@@ -152,7 +153,7 @@ def test_model_errors_inside_a_step_end_the_run_cleanly(error):
 # --- the simplified Newton scheme ---------------------------------------------
 
 def op30_problem(op30, kp, profile):
-    w0 = build_initial_density(DistributionSpec(), op30.grid) / 1e6
+    w0 = build_initial_density(DistributionSpec(), op30.grid) / DENSITY_SCALE
     y0 = np.concatenate([w0, [0.4, 0.0, 193.0, 0.012]])
     f = lambda t, y: rhs_vector(t, y, op30, kp, profile)
     jac = lambda t, y: jacobian_vector(t, y, op30, kp, profile)
