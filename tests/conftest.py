@@ -87,11 +87,33 @@ def concentration_block(result):
             s[:, C + 3])
 
 
+#: Relative size below which a value or a deviation is round-off: a
+#: hundredth of the Newton tolerance of 1e-10 relative to the state scales
+#: of the default run.  Changing the Newton path (predictor, matrix
+#: refreshes) moves the solution only below it.
+ROUND_OFF_FLOOR = 1e-12
+
+
 def interior_maxima(values):
-    """Indices of strict interior local maxima of a 1-D array."""
+    """Indices of strict interior local maxima of a 1-D array.
+
+    A maximum counts only where the value exceeds ROUND_OFF_FLOOR of the
+    array's peak, so wiggles in a round-off tail are not peaks.
+    """
     values = np.asarray(values)
+    floor = ROUND_OFF_FLOOR * values.max()
     idx = []
     for i in range(1, len(values) - 1):
-        if values[i] > values[i - 1] and values[i] > values[i + 1]:
+        if values[i] > floor and values[i] > values[i - 1] and values[i] > values[i + 1]:
             idx.append(i)
     return idx
+
+
+def falls_with_refinement(deviations, scale):
+    """True when ``deviations`` do not rise from one entry to the next.
+
+    Deviations below ROUND_OFF_FLOOR of ``scale`` (the column's run
+    maximum) are treated as equal.
+    """
+    floored = np.maximum(deviations, ROUND_OFF_FLOOR * scale)
+    return bool(np.all(np.diff(floored) <= 0.0))

@@ -11,8 +11,8 @@ from fermsim.oracles import (fd_jacobian, jacobian_deviation,
 from fermsim.simulate import DENSITY_SCALE
 from fermsim.system import jacobian_vector, rhs_vector
 
-from conftest import (concentration_block, density_block, interior_maxima,
-                      run_with)
+from conftest import (concentration_block, density_block, falls_with_refinement,
+                      interior_maxima, run_with)
 
 
 def test_criterion_01_lambda_normalization():
@@ -168,8 +168,9 @@ def test_criterion_12_grid_refinement(tmp_path, default_run):
         finals[n_cells] = result.trajectory.states[-1, C:]
     finals[150] = default_run.trajectory.states[-1, 150:]
     reference = finals[150]
+    scales = np.max(np.abs(default_run.trajectory.states[:, 150:]), axis=0)
     for k in range(4):
         deviations = [abs(finals[c][k] - reference[k]) for c in (30, 50, 100)]
-        assert deviations[0] >= deviations[1] >= deviations[2]
+        assert falls_with_refinement(deviations, scales[k])
         rel = deviations[2] / max(abs(reference[k]), 1e-300)
         assert rel <= 0.02
