@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -46,6 +47,8 @@ MAX_STEPS = 1_000_000
 
 _STEP_ERRORS = (NumericsError, DomainError, ZeroDivisionError, np.linalg.LinAlgError)
 
+_max = np.maximum.reduce
+
 
 @dataclass(frozen=True)
 class NewtonConfig:
@@ -59,8 +62,7 @@ class NewtonConfig:
             raise ConfigError("newton.max_iterations must be >= 1")
 
 
-@dataclass(frozen=True)
-class StepRecord:
+class StepRecord(NamedTuple):
     t: float
     newton_iterations: int
     residual_norm: float
@@ -117,11 +119,10 @@ def trapezoid_step(y_n: np.ndarray, t_n: float, h: float, f, jac,
     if state.h != h:
         state.inverse = None
     updates, res, res_prev = 0, math.inf, None
+    half_h = 0.5 * h
 
     def failed(message):
-        rec = StepRecord(t=t1, newton_iterations=updates, residual_norm=res,
-                         converged=False)
-        return StepFailure(message, record=rec)
+        return StepFailure(message, record=StepRecord(t1, updates, res, False))
 
     try:
         f_n = state.f if state.f is not None else np.array(f(t_n, y_n), dtype=float)
@@ -136,13 +137,13 @@ def trapezoid_step(y_n: np.ndarray, t_n: float, h: float, f, jac,
             # g = (y - y_n) - (h/2) (f1 + f_n), rounded in that order
             g = y - y_n
             half_h_f = f1 + f_n
-            half_h_f *= 0.5 * h
+            half_h_f *= half_h
             g -= half_h_f
-            res = float(np.abs(g).max())
+            # NaN if g holds one, as max would give
+            res = _max(np.abs(g, out=half_h_f))
             if res <= cfg.tolerance:
                 state.f = f1.copy()
-                return y, StepRecord(t=t1, newton_iterations=max(updates, 1),
-                                     residual_norm=res, converged=True)
+                return y, StepRecord(t1, max(updates, 1), res, True)
             if updates >= cfg.max_iterations:
                 raise failed(f"Newton failed at t={t1}: residual {res:.3e} "
                              f"after {updates} iterations")
@@ -164,7 +165,7 @@ def trapezoid_step(y_n: np.ndarray, t_n: float, h: float, f, jac,
             state.inverse = None
             y = y_n.copy()
             continue
-        y = y - state.inverse @ g
+        y -= state.inverse @ g  # y is this step's own array
         res_prev = res
         updates += 1
 
@@ -208,16 +209,18 @@ def integrate(f, jac, y0: np.ndarray, t_final: float, h: float,
     states[0] = y0
     times = h * np.arange(n_steps + 1)
     times[-1] = t_final if n_steps else 0.0
+    stage_times = times.tolist()
     records = []
     state = StepState()
+    y = y0
     for k in range(n_steps):
         try:
-            y_new, rec = trapezoid_step(states[k], times[k], h, f, jac, cfg,
-                                        t1=times[k + 1], state=state)
+            y, rec = trapezoid_step(y, stage_times[k], h, f, jac, cfg,
+                                    t1=stage_times[k + 1], state=state)
         except StepFailure as exc:
             return Trajectory(times=times[:k + 1], states=states[:k + 1],
                               records=records, completed=False, failure=str(exc))
-        states[k + 1] = y_new
+        states[k + 1] = y
         records.append(rec)
     return Trajectory(times=times, states=states, records=records)
 
