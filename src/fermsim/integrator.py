@@ -90,14 +90,16 @@ class StepState:
         self.inverse = None
         self.h = None
         self.f = None
+        self.matrix = None
         self.identity = None
 
     def rebuild(self, jac, t: float, y: np.ndarray, h: float) -> None:
         self.inverse = None  # drop the old inverse before building the new one
-        A = -0.5 * h * np.asarray(jac(t, y), dtype=float)
+        if self.matrix is None or len(self.matrix) != len(y):
+            self.matrix = np.empty((len(y), len(y)))
+            self.identity = np.identity(len(y))
+        A = np.multiply(-0.5 * h, jac(t, y), out=self.matrix)
         A.flat[::len(A) + 1] += 1.0
-        if self.identity is None or len(self.identity) != len(A):
-            self.identity = np.identity(len(A))
         self.inverse = np.linalg.solve(A, self.identity)
         self.h = h
 

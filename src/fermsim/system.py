@@ -82,8 +82,13 @@ def rhs_vector(t: float, y: np.ndarray, op: DiscreteOperator,
 
 
 def jacobian_vector(t: float, y: np.ndarray, op: DiscreteOperator,
-                    kp: KineticParams, profile: TemperatureProfile) -> np.ndarray:
-    """Analytic Jacobian of :func:`rhs_vector` with respect to y."""
+                    kp: KineticParams, profile: TemperatureProfile,
+                    out: np.ndarray = None) -> np.ndarray:
+    """Analytic Jacobian of :func:`rhs_vector` with respect to y.
+
+    Written into ``out``, a (C+4, C+4) float array, when given; every
+    entry is written.
+    """
     _check_finite(t, y)
     grid = op.grid
     C = grid.n_cells
@@ -96,10 +101,10 @@ def jacobian_vector(t: float, y: np.ndarray, op: DiscreteOperator,
     dv, db = rate_jacobian(kp, N, E, S, O, T)
     phi = death_phi(kp, E)
 
-    J = np.zeros((C + 4, C + 4))
+    J = np.empty((C + 4, C + 4)) if out is None else out
 
     # densities block: birth kernel plus upwind transport and loss terms
-    J[:C, :C] = (2.0 / dm) * op.K
+    np.multiply(2.0 / dm, op.K, out=J[:C, :C])
     diag = np.arange(C)
     J[diag, diag] -= op.gamma_int / dm + phi + kp.kd
     J[diag[:-1], diag[:-1]] -= v * e[1:C] / dm   # outflow, not in last cell
