@@ -10,11 +10,15 @@ solved to max|g| <= tolerance by simplified Newton (Hairer & Wanner,
 with numpy.linalg.solve and the inverse is applied by a matrix-vector
 product, frozen across iterations and across steps.  It is rebuilt at the
 current iterate at the first step, when h changes, and whenever one
-iteration shrinks max|g| by less than the factor THETA_MAX.  Each step
-starts from the explicit Euler predictor y_n + h f(t_n, y_n), and f at the
-accepted iterate is the next step's f(t_n, y_n).  The stepper copies what
-f returns before it keeps it and writes into no array that f or J
-returns, so both may hand back one reused buffer.
+iteration shrinks max|g| by less than the factor THETA_MAX.  f at the
+accepted iterate is the next step's f(t_n, y_n).  Each step starts from
+the Adams-Bashforth 2 predictor y_n + (h/2)(3 f(t_n, y_n) - f(t_{n-1},
+y_{n-1})), exact when f is linear in t along the solution.  Where that
+history is missing or does not fit, the step starts from the explicit
+Euler predictor y_n + h f(t_n, y_n) instead: on the first step, after a
+change of h and after a step that restarted.  The stepper copies what f
+returns before it keeps it and writes into no array that f or J returns,
+so both may hand back one reused buffer.
 
 A step whose iteration diverges with a matrix carried over from an earlier
 step, reaches a non-finite residual, hits a singular matrix or makes f or
@@ -83,13 +87,16 @@ class StepState:
 
     ``inverse`` is the frozen inverse of I - (h/2) J, built for step size
     ``h``; ``f`` is f at the last accepted iterate, i.e. the next step's
-    f(t_n, y_n).
+    f(t_n, y_n).  ``f_prev`` is f(t_{n-1}, y_{n-1}) for the AB2 predictor
+    when the last step, of size ``step``, did not restart; else None.
     """
 
     def __init__(self):
         self.inverse = None
         self.h = None
         self.f = None
+        self.f_prev = None
+        self.step = None
         self.matrix = None
         self.identity = None
 
@@ -128,7 +135,13 @@ def trapezoid_step(y_n: np.ndarray, t_n: float, h: float, f, jac,
 
     try:
         f_n = state.f if state.f is not None else np.array(f(t_n, y_n), dtype=float)
-        y = y_n + h * f_n
+        if state.f_prev is not None and state.step == h:
+            y = 3.0 * f_n  # AB2: y_n + (h/2)(3 f_n - f_{n-1})
+            y -= state.f_prev
+            y *= half_h
+            y += y_n
+        else:
+            y = y_n + h * f_n  # explicit Euler start-up
     except _STEP_ERRORS as exc:
         raise failed(f"step failed at t={t1}: {exc}") from exc
     stale = state.inverse is not None
@@ -144,7 +157,9 @@ def trapezoid_step(y_n: np.ndarray, t_n: float, h: float, f, jac,
             # NaN if g holds one, as max would give
             res = _max(np.abs(g, out=half_h_f))
             if res <= cfg.tolerance:
+                state.f_prev = None if restarted else f_n
                 state.f = f1.copy()
+                state.step = h
                 return y, StepRecord(t1, max(updates, 1), res, True)
             if updates >= cfg.max_iterations:
                 raise failed(f"Newton failed at t={t1}: residual {res:.3e} "
