@@ -4,7 +4,7 @@ import pytest
 from fermsim import (ConfigError, DistributionSpec, DomainError, KineticParams,
                      NewtonConfig, NumericsError, StepFailure,
                      build_initial_density, integrate)
-from fermsim.integrator import trapezoid_step
+from fermsim.integrator import StepState, trapezoid_step
 from fermsim.simulate import DENSITY_SCALE
 from fermsim.system import jacobian_vector, rhs_vector
 
@@ -238,3 +238,104 @@ def test_sharp_jacobian_change_rebuilds_the_matrix(a_late):
     for t0, t1 in zip(traj.times[:-1], traj.times[1:]):
         expected *= (1.0 - 0.5 * h * a(t0)) / (1.0 + 0.5 * h * a(t1))
     assert traj.states[-1, 0] == pytest.approx(expected, rel=1e-9)
+
+
+# --- the Adams-Bashforth 2 predictor ------------------------------------------
+
+def calls_per_stage(a, b, seen=None):
+    """f(t, y) = a + b t, recording the time of each call (and the first
+    state f sees at each time in ``seen``)."""
+    times = []
+
+    def f(t, y):
+        if seen is not None:
+            seen.setdefault(t, y.copy())
+        times.append(t)
+        return a + b * t
+
+    return f, times
+
+
+def test_ab2_predictor_is_exact_when_f_is_linear_in_t():
+    # AB2 extrapolates f linearly, so after the Euler start-up every
+    # predictor already solves the trapezoid equation: zero updates, and
+    # one f call per step
+    a, b = np.array([1.0, -2.0]), np.array([3.0, 0.5])
+    f, times = calls_per_stage(a, b)
+    jac = lambda t, y: np.zeros((2, 2))
+    traj = integrate(f, jac, np.array([0.0, 1.0]), 2.0, 0.1)
+    steps = len(traj.records)
+    assert traj.completed and steps == 20
+    assert all(r.newton_iterations == 1 for r in traj.records)
+    updates = 1  # the Euler start-up step only
+    assert len(times) == 1 + steps + updates
+    assert [times.count(t) for t in traj.times[1:3]] == [2, 1]
+    t = traj.times
+    np.testing.assert_allclose(traj.states, np.outer(t, a) + np.outer(0.5 * t ** 2, b)
+                               + np.array([0.0, 1.0]), rtol=0, atol=1e-12)
+
+
+def euler(y, t, h, a, b):
+    return y + h * (a + b * t)
+
+
+def test_change_of_h_falls_back_to_euler():
+    a, b, seen = np.array([1.0]), np.array([2.0]), {}
+    f, times = calls_per_stage(a, b, seen)
+    jac = lambda t, y: np.zeros((1, 1))
+    state, y, t = StepState(), np.zeros(1), 0.0
+    per_step = []
+    for k, h in enumerate((0.1, 0.1, 0.1, 0.05, 0.05, 0.05)):
+        before = len(times)
+        y_n, (y, record) = y, trapezoid_step(y, t, h, f, jac, state=state)
+        assert record.converged
+        per_step.append(len(times) - before)
+        if k == 3:
+            # the predictor f first sees is explicit Euler, not AB2
+            assert seen[record.t] == pytest.approx(euler(y_n, t, h, a, b), rel=1e-15)
+        t += h
+    # f(0, y0), then Euler (two calls) at the start and after h changes
+    assert per_step == [3, 1, 1, 2, 1, 1]
+
+
+def test_restarted_step_is_followed_by_euler():
+    a, b, seen = np.array([1.0]), np.array([2.0]), {}
+    g, times = calls_per_stage(a, b, seen)
+    h = 0.1
+    fail_at = 5 * h
+
+    def f(t, y):
+        if t == fail_at and fail_at not in times:
+            times.append(t)
+            raise DomainError("forced restart")
+        return g(t, y)
+
+    traj = integrate(f, lambda t, y: np.zeros((1, 1)), np.zeros(1), 1.0, h)
+    assert traj.completed
+    calls = [times.count(t) for t in traj.times[1:]]
+    # the failed first call, then f(y_n) and one update; Euler on the next step
+    assert calls == [2, 1, 1, 1, 3, 2, 1, 1, 1, 1]
+    assert traj.times[5] == fail_at
+    t5, y5 = traj.times[5], traj.states[5]
+    assert seen[traj.times[6]] == pytest.approx(euler(y5, t5, h, a, b), rel=1e-15)
+
+
+@pytest.mark.parametrize("model, bound", [("ide", 2.2), ("ode", 1.9)])
+def test_predictor_keeps_newton_updates_low(model, bound, monkeypatch):
+    # 2-day runs at dt = 1/192: the Euler predictor needed 2.54 (60 cells)
+    # and 2.16 (ODE) updates per step, AB2 2.03 and 1.77
+    from fermsim import load_config, reduced
+    from fermsim import simulate as sim
+    module, name = (sim, "rhs_vector") if model == "ide" else (reduced, "ode_rhs_vector")
+    rhs, calls = getattr(module, name), [0]
+
+    def counted(*args):
+        calls[0] += 1
+        return rhs(*args)
+
+    monkeypatch.setattr(module, name, counted)
+    config = load_config(None, {"model": model, "grid.n_cells": "60", "t_final": "2"})
+    trajectory, _ = sim.march(config)
+    steps = len(trajectory.records)
+    assert trajectory.completed and steps == 384
+    assert (calls[0] - 1 - steps) / steps <= bound
