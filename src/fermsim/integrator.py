@@ -11,14 +11,15 @@ with numpy.linalg.solve and the inverse is applied by a matrix-vector
 product, frozen across iterations and across steps.  It is rebuilt at the
 current iterate at the first step, when h changes, and whenever one
 iteration shrinks max|g| by less than the factor THETA_MAX.  f at the
-accepted iterate is the next step's f(t_n, y_n).  Each step starts from
-the Adams-Bashforth 2 predictor y_n + (h/2)(3 f(t_n, y_n) - f(t_{n-1},
-y_{n-1})), exact when f is linear in t along the solution.  Where that
-history is missing or does not fit, the step starts from the explicit
-Euler predictor y_n + h f(t_n, y_n) instead: on the first step, after a
-change of h and after a step that restarted.  The stepper copies what f
-returns before it keeps it and writes into no array that f or J returns,
-so both may hand back one reused buffer.
+accepted iterate is the next step's f(t_n, y_n).  AB2 predictor, Euler
+start-up: each step starts from the Adams-Bashforth 2 predictor
+y_n + (h/2)(3 f(t_n, y_n) - f(t_{n-1}, y_{n-1})), exact when f is linear
+in t along the solution, except where that history is missing or does
+not fit.  There, on the first step, after a change of h and after a step
+that restarted, it starts from the explicit Euler predictor
+y_n + h f(t_n, y_n).  The stepper copies what f returns before it keeps
+it and writes into no array that f or J returns, so both may hand back
+one reused buffer.
 
 A step whose iteration diverges with a matrix carried over from an earlier
 step, reaches a non-finite residual, hits a singular matrix or makes f or
@@ -85,10 +86,10 @@ class Trajectory:
 class StepState:
     """What one step hands to the next of the same march.
 
-    ``inverse`` is the frozen inverse of I - (h/2) J, built for step size
-    ``h``; ``f`` is f at the last accepted iterate, i.e. the next step's
-    f(t_n, y_n).  ``f_prev`` is f(t_{n-1}, y_{n-1}) for the AB2 predictor
-    when the last step, of size ``step``, did not restart; else None.
+    ``h`` is the size of the last step; ``inverse`` is the frozen inverse
+    of I - (h/2) J; ``f`` is f at the last accepted iterate, i.e. the next
+    step's f(t_n, y_n), and ``f_prev`` is f(t_{n-1}, y_{n-1}) for the AB2
+    predictor, or None when the last step restarted or changed h.
     """
 
     def __init__(self):
@@ -96,7 +97,6 @@ class StepState:
         self.h = None
         self.f = None
         self.f_prev = None
-        self.step = None
         self.matrix = None
         self.identity = None
 
@@ -108,7 +108,6 @@ class StepState:
         A = np.multiply(-0.5 * h, jac(t, y), out=self.matrix)
         A.flat[::len(A) + 1] += 1.0
         self.inverse = np.linalg.solve(A, self.identity)
-        self.h = h
 
 
 def trapezoid_step(y_n: np.ndarray, t_n: float, h: float, f, jac,
@@ -126,7 +125,7 @@ def trapezoid_step(y_n: np.ndarray, t_n: float, h: float, f, jac,
     t1 = t_n + h if t1 is None else t1
     state = StepState() if state is None else state
     if state.h != h:
-        state.inverse = None
+        state.h, state.inverse, state.f_prev = h, None, None
     updates, res, res_prev = 0, math.inf, None
     half_h = 0.5 * h
 
@@ -135,7 +134,7 @@ def trapezoid_step(y_n: np.ndarray, t_n: float, h: float, f, jac,
 
     try:
         f_n = state.f if state.f is not None else np.array(f(t_n, y_n), dtype=float)
-        if state.f_prev is not None and state.step == h:
+        if state.f_prev is not None:
             y = 3.0 * f_n  # AB2: y_n + (h/2)(3 f_n - f_{n-1})
             y -= state.f_prev
             y *= half_h
@@ -159,7 +158,6 @@ def trapezoid_step(y_n: np.ndarray, t_n: float, h: float, f, jac,
             if res <= cfg.tolerance:
                 state.f_prev = None if restarted else f_n
                 state.f = f1.copy()
-                state.step = h
                 return y, StepRecord(t1, max(updates, 1), res, True)
             if updates >= cfg.max_iterations:
                 raise failed(f"Newton failed at t={t1}: residual {res:.3e} "
