@@ -17,9 +17,10 @@ def test_tail_wiggles_are_not_peaks():
 
 def test_three_peaks_above_the_floor_count_three():
     m = np.linspace(0.0, 1.0, 150)
-    profile = sum(np.exp(-((m - c) / 0.04) ** 2) for c in (0.16, 0.39, 0.8))
-    profile[120:] *= 1e-9  # a small third peak, still far above the floor
-    assert len(interior_maxima(profile)) == 3
+    peak = lambda c: np.exp(-((m - c) / 0.04) ** 2)
+    # the third peak is 1e-9 of the others, still far above the floor
+    profile = peak(0.16) + peak(0.39) + 1e-9 * peak(0.9)
+    assert interior_maxima(profile) == [24, 58, 134]
 
 
 def test_floor_ignores_round_off_but_not_real_deviations():
