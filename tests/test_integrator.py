@@ -242,7 +242,7 @@ def test_sharp_jacobian_change_rebuilds_the_matrix(a_late):
 
 # --- the Adams-Bashforth 2 predictor ------------------------------------------
 
-def calls_per_stage(a, b, seen=None):
+def linear_in_t(a, b, seen=None):
     """f(t, y) = a + b t, recording the time of each call (and the first
     state f sees at each time in ``seen``)."""
     times = []
@@ -261,7 +261,7 @@ def test_ab2_predictor_is_exact_when_f_is_linear_in_t():
     # predictor already solves the trapezoid equation: zero updates, and
     # one f call per step
     a, b = np.array([1.0, -2.0]), np.array([3.0, 0.5])
-    f, times = calls_per_stage(a, b)
+    f, times = linear_in_t(a, b)
     jac = lambda t, y: np.zeros((2, 2))
     traj = integrate(f, jac, np.array([0.0, 1.0]), 2.0, 0.1)
     steps = len(traj.records)
@@ -281,7 +281,7 @@ def euler(y, t, h, a, b):
 
 def test_change_of_h_falls_back_to_euler():
     a, b, seen = np.array([1.0]), np.array([2.0]), {}
-    f, times = calls_per_stage(a, b, seen)
+    f, times = linear_in_t(a, b, seen)
     jac = lambda t, y: np.zeros((1, 1))
     state, y, t = StepState(), np.zeros(1), 0.0
     per_step = []
@@ -300,7 +300,7 @@ def test_change_of_h_falls_back_to_euler():
 
 def test_restarted_step_is_followed_by_euler():
     a, b, seen = np.array([1.0]), np.array([2.0]), {}
-    g, times = calls_per_stage(a, b, seen)
+    g, times = linear_in_t(a, b, seen)
     h = 0.1
     fail_at = 5 * h
 
