@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from fermsim import (DistributionSpec, DivisionParams, KineticParams,
-                     TemperatureProfile, assemble_operator, build_grid,
-                     default_config)
+                     NewtonConfig, TemperatureProfile, assemble_operator,
+                     build_grid, default_config)
 from fermsim import simulate as sim
 
 
@@ -117,3 +117,15 @@ def falls_with_refinement(deviations, scale):
     """
     floored = np.maximum(deviations, ROUND_OFF_FLOOR * scale)
     return bool(np.all(np.diff(floored) <= 0.0))
+
+
+def relative_deviation(deviation, reference):
+    """|deviation| relative to |reference|, or to the Newton tolerance
+    where |reference| is smaller.
+
+    The solver meets max|g| <= tolerance on every step, so values far
+    below the tolerance (the oxygen tail, ~1e-15 g/l at day 20) are not
+    resolved: two equally converged runs may differ in them by their own
+    size.
+    """
+    return abs(deviation) / max(abs(reference), NewtonConfig().tolerance)

@@ -12,7 +12,7 @@ from fermsim.simulate import DENSITY_SCALE
 from fermsim.system import jacobian_vector, rhs_vector
 
 from conftest import (concentration_block, density_block, falls_with_refinement,
-                      interior_maxima, run_with)
+                      interior_maxima, relative_deviation, run_with)
 
 
 def test_criterion_01_lambda_normalization():
@@ -172,5 +172,4 @@ def test_criterion_12_grid_refinement(tmp_path, default_run):
     for k in range(4):
         deviations = [abs(finals[c][k] - reference[k]) for c in (30, 50, 100)]
         assert falls_with_refinement(deviations, scales[k])
-        rel = deviations[2] / max(abs(reference[k]), 1e-300)
-        assert rel <= 0.02
+        assert relative_deviation(deviations[2], reference[k]) <= 0.02

@@ -2,7 +2,8 @@
 
 import numpy as np
 
-from conftest import ROUND_OFF_FLOOR, falls_with_refinement, interior_maxima
+from conftest import (ROUND_OFF_FLOOR, falls_with_refinement, interior_maxima,
+                      relative_deviation)
 
 
 def test_tail_wiggles_are_not_peaks():
@@ -34,3 +35,12 @@ def test_floor_ignores_round_off_but_not_real_deviations():
     deviations[2] = 1.5 * deviations[1]
     assert not falls_with_refinement(deviations, scale)
     assert not falls_with_refinement([3.5e-5, 1.6e-5, 1.7e-5], 0.4)
+
+
+def test_relative_check_floors_at_the_newton_tolerance():
+    # a resolved final 3% off still fails the 2% check
+    assert relative_deviation(0.03 * 0.4, 0.4) > 0.02
+    # O-like finals ~1e-15 g/l, far below the tolerance of 1e-10, pass
+    assert relative_deviation(2.2e-15 - 1.4e-15, 1.4e-15) <= 0.02
+    # an O-like final 1e-11 off is above 2% of the tolerance and fails
+    assert relative_deviation(1e-11, 1.4e-15) > 0.02
