@@ -40,8 +40,9 @@ import numpy as np
 
 from .errors import ConfigError, DomainError, NumericsError, StepFailure
 
-#: Rebuild the iteration matrix when one iteration shrinks max|g| by less
-#: than this factor (the RADAU5 default).
+#: Default rebuild threshold: rebuild the iteration matrix when one
+#: iteration shrinks max|g| by less than this factor (the RADAU5 default
+#: for small systems).
 THETA_MAX = 1e-3
 
 #: Most steps one march may take.  ``integrate`` holds every state of the
@@ -112,12 +113,12 @@ class StepState:
 
 def trapezoid_step(y_n: np.ndarray, t_n: float, h: float, f, jac,
                    cfg: NewtonConfig = NewtonConfig(), *, t1: float = None,
-                   state: StepState = None):
+                   state: StepState = None, theta_max: float = THETA_MAX):
     """Advance one implicit trapezoidal step; returns (y_{n+1}, StepRecord).
 
     ``t1`` is the stage time (default ``t_n + h``).  ``state`` is the
     StepState left by the step that accepted ``y_n``, or None; it is
-    updated in place.
+    updated in place.  ``theta_max`` is the rebuild threshold.
     """
     if h <= 0:
         raise ConfigError("step size must be > 0")
@@ -164,7 +165,7 @@ def trapezoid_step(y_n: np.ndarray, t_n: float, h: float, f, jac,
                              f"after {updates} iterations")
             if not math.isfinite(res):
                 raise NumericsError(f"non-finite Newton residual after {updates} iterations")
-            if res_prev is not None and res > THETA_MAX * res_prev:
+            if res_prev is not None and res > theta_max * res_prev:
                 if stale and res >= res_prev:
                     raise NumericsError(f"Newton iteration diverged: residual {res:.3e}")
                 state.rebuild(jac, t1, y, h)
@@ -211,11 +212,13 @@ def step_count(t_final: float, h: float) -> int:
 
 
 def integrate(f, jac, y0: np.ndarray, t_final: float, h: float,
-              cfg: NewtonConfig = NewtonConfig()) -> Trajectory:
+              cfg: NewtonConfig = NewtonConfig(), *,
+              theta_max: float = THETA_MAX) -> Trajectory:
     """Fixed-step march over [0, t_final]; aborts cleanly on step failure.
 
     Stage times come from the same ``times`` array the trajectory holds,
-    so the last stage is exactly ``t_final``.
+    so the last stage is exactly ``t_final``.  ``theta_max`` is the
+    rebuild threshold of every step.
     """
     y0 = np.asarray(y0, dtype=float)
     n_steps = step_count(t_final, h)
@@ -231,7 +234,8 @@ def integrate(f, jac, y0: np.ndarray, t_final: float, h: float,
     for k in range(n_steps):
         try:
             y, rec = trapezoid_step(y, stage_times[k], h, f, jac, cfg,
-                                    t1=stage_times[k + 1], state=state)
+                                    t1=stage_times[k + 1], state=state,
+                                    theta_max=theta_max)
         except StepFailure as exc:
             return Trajectory(times=times[:k + 1], states=states[:k + 1],
                               records=records, completed=False, failure=str(exc))

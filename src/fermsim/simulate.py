@@ -38,6 +38,14 @@ from .system import jacobian_vector, rhs_vector
 #: internal density unit, cells/ml
 DENSITY_SCALE = 1.0e6
 
+#: Rebuild threshold of the population-balance march.  Rebuilding its
+#: dense (C+4)^2 iteration matrix is one O(C^3) inversion, the cost of
+#: ~30 Newton updates at 150 cells and ~100 at 300, so a slower
+#: contraction is worth keeping (RADAU5 raises its 1e-3 default when
+#: Jacobians are costly).  The 5-state reduced model keeps 1e-3: there a
+#: rebuild costs ~1.5 updates.
+THETA_MAX_DENSE = 1e-2
+
 #: trajectory columns that are not model states; the run summary reports
 #: the final value of every other column and compare skips them
 _NON_STATE = {"t", "T", "newton_iters", "log10_total_cells"}
@@ -147,7 +155,7 @@ def march(config: SimulationConfig):
     trajectory = integrate(lambda t, y: rhs_vector(t, y, op, kp, profile),
                            lambda t, y: jacobian_vector(t, y, op, kp, profile, out=J),
                            np.concatenate([w0, substrates]), config.t_final, config.dt,
-                           config.newton)
+                           config.newton, theta_max=THETA_MAX_DENSE)
     return trajectory, grid
 
 

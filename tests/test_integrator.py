@@ -218,10 +218,9 @@ def test_iteration_matrix_is_reused_across_steps(op30, kp, profile):
     assert calls["f"] == 1 + steps + updates
 
 
-@pytest.mark.parametrize("a_late", [1.5, 50.0])
-def test_sharp_jacobian_change_rebuilds_the_matrix(a_late):
-    # y' = -a(t) y with a jump in a at t = 1: the carried matrix contracts
-    # slowly (a_late = 1.5) or diverges (a_late = 50) after the jump
+def jump_problem(a_late):
+    """y' = -a(t) y with a jump in a at t = 1, the times of the Jacobian
+    calls, and the exact trapezoid product for a step h."""
     a = lambda t: 1.0 if t <= 1.0 else a_late
     jac_times = []
 
@@ -229,15 +228,43 @@ def test_sharp_jacobian_change_rebuilds_the_matrix(a_late):
         jac_times.append(t)
         return np.array([[-a(t)]])
 
+    def exact(times, h):
+        expected = 1.0
+        for t0, t1 in zip(times[:-1], times[1:]):
+            expected *= (1.0 - 0.5 * h * a(t0)) / (1.0 + 0.5 * h * a(t1))
+        return expected
+
+    return lambda t, y: -a(t) * y, jac, jac_times, exact
+
+
+@pytest.mark.parametrize("a_late", [1.5, 50.0])
+def test_sharp_jacobian_change_rebuilds_the_matrix(a_late):
+    # the carried matrix contracts slowly (a_late = 1.5) or diverges
+    # (a_late = 50) after the jump
+    f, jac, jac_times, exact = jump_problem(a_late)
     h = 0.1
-    traj = integrate(lambda t, y: -a(t) * y, jac, np.array([1.0]), 2.0, h)
+    traj = integrate(f, jac, np.array([1.0]), 2.0, h)
     assert traj.completed
     assert all(r.converged for r in traj.records)
     assert any(t > 1.0 for t in jac_times)
-    expected = 1.0
-    for t0, t1 in zip(traj.times[:-1], traj.times[1:]):
-        expected *= (1.0 - 0.5 * h * a(t0)) / (1.0 + 0.5 * h * a(t1))
-    assert traj.states[-1, 0] == pytest.approx(expected, rel=1e-9)
+    assert traj.states[-1, 0] == pytest.approx(exact(traj.times, h), rel=1e-9)
+
+
+@pytest.mark.parametrize("theta_max, rebuilds_after_jump", [(None, True), (0.1, False)])
+def test_rebuild_threshold_is_the_callers(theta_max, rebuilds_after_jump):
+    # after the jump to a_late = 1.5 the stale matrix contracts the
+    # residual by ~0.024 per update: a rebuild under the default 1e-3,
+    # none under 0.1
+    f, jac, jac_times, exact = jump_problem(1.5)
+    h = 0.1
+    kwargs = {} if theta_max is None else {"theta_max": theta_max}
+    traj = integrate(f, jac, np.array([1.0]), 2.0, h, **kwargs)
+    assert traj.completed
+    assert any(t > 1.0 for t in jac_times) == rebuilds_after_jump
+    # the ten steps after the jump each solve their equation to 1e-10, so
+    # together they stay within 1e-9 of the exact product (rel=1e-9 would
+    # ask for 8e-11 at y(2) ~ 0.084)
+    assert traj.states[-1, 0] == pytest.approx(exact(traj.times, h), abs=1e-9)
 
 
 # --- the Adams-Bashforth 2 predictor ------------------------------------------
@@ -320,22 +347,50 @@ def test_restarted_step_is_followed_by_euler():
     assert seen[traj.times[6]] == pytest.approx(euler(y5, t5, h, a, b), rel=1e-15)
 
 
-@pytest.mark.parametrize("model, bound", [("ide", 2.2), ("ode", 1.9)])
-def test_predictor_keeps_newton_updates_low(model, bound, monkeypatch):
-    # 2-day runs at dt = 1/192: the Euler predictor needed 2.54 (60 cells)
-    # and 2.16 (ODE) updates per step, AB2 2.03 and 1.77
-    from fermsim import load_config, reduced
-    from fermsim import simulate as sim
-    module, name = (sim, "rhs_vector") if model == "ide" else (reduced, "ode_rhs_vector")
-    rhs, calls = getattr(module, name), [0]
+def count_calls(monkeypatch, module, name):
+    """Replace ``module.name`` by a wrapper counting its calls in a list."""
+    fn, calls = getattr(module, name), [0]
 
-    def counted(*args):
+    def counted(*args, **kwargs):
         calls[0] += 1
-        return rhs(*args)
+        return fn(*args, **kwargs)
 
     monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+def two_day_run(model):
+    """Steps of a 2-day, dt = 1/192 march of ``model`` on 60 cells."""
+    from fermsim import load_config
+    from fermsim import simulate as sim
     config = load_config(None, {"model": model, "grid.n_cells": "60", "t_final": "2"})
     trajectory, _ = sim.march(config)
     steps = len(trajectory.records)
     assert trajectory.completed and steps == 384
+    return steps
+
+
+@pytest.mark.parametrize("model, bound", [("ide", 2.2), ("ode", 1.9)])
+def test_predictor_keeps_newton_updates_low(model, bound, monkeypatch):
+    # 2-day runs at dt = 1/192 under the default rebuild threshold: the
+    # Euler predictor needed 2.54 (60 cells) and 2.16 (ODE) updates per
+    # step, AB2 2.03 and 1.77
+    from fermsim import integrator, reduced
+    from fermsim import simulate as sim
+    monkeypatch.setattr(sim, "THETA_MAX_DENSE", integrator.THETA_MAX)
+    module, name = (sim, "rhs_vector") if model == "ide" else (reduced, "ode_rhs_vector")
+    calls = count_calls(monkeypatch, module, name)
+    steps = two_day_run(model)
+    # one rhs call per update, one per step and f(0, y0)
     assert (calls[0] - 1 - steps) / steps <= bound
+
+
+def test_dense_march_trades_updates_for_rebuilds(monkeypatch):
+    # the same 60-cell run under THETA_MAX_DENSE: 4 matrix rebuilds at
+    # 2.36 updates per step, where the default threshold takes 28 at 2.03
+    from fermsim import simulate as sim
+    rhs_calls = count_calls(monkeypatch, sim, "rhs_vector")
+    jac_calls = count_calls(monkeypatch, sim, "jacobian_vector")
+    steps = two_day_run("ide")
+    assert jac_calls[0] <= 8
+    assert (rhs_calls[0] - 1 - steps) / steps <= 2.5
