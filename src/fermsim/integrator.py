@@ -98,17 +98,12 @@ class StepState:
         self.h = None
         self.f = None
         self.f_prev = None
-        self.matrix = None
-        self.identity = None
 
     def rebuild(self, jac, t: float, y: np.ndarray, h: float) -> None:
         self.inverse = None  # drop the old inverse before building the new one
-        if self.matrix is None or len(self.matrix) != len(y):
-            self.matrix = np.empty((len(y), len(y)))
-            self.identity = np.identity(len(y))
-        A = np.multiply(-0.5 * h, jac(t, y), out=self.matrix)
+        A = np.multiply(-0.5 * h, jac(t, y))  # a new array, not what jac returned
         A.flat[::len(A) + 1] += 1.0
-        self.inverse = np.linalg.solve(A, self.identity)
+        self.inverse = np.linalg.solve(A, np.identity(len(y)))
 
 
 def trapezoid_step(y_n: np.ndarray, t_n: float, h: float, f, jac,

@@ -149,11 +149,8 @@ def march(config: SimulationConfig):
         return run_ode(y0, config.t_final, config.dt, kp, profile, config.newton), grid
     op = assemble_operator(grid, config.division, config.n_quad)
     w0 = build_initial_density(config.distribution, grid) / DENSITY_SCALE
-    # one Jacobian buffer for the whole march: a fresh (C+4)^2 array per
-    # matrix refresh would page-fault on first touch every time
-    J = np.empty((config.n_cells + 4,) * 2)
     trajectory = integrate(lambda t, y: rhs_vector(t, y, op, kp, profile),
-                           lambda t, y: jacobian_vector(t, y, op, kp, profile, out=J),
+                           lambda t, y: jacobian_vector(t, y, op, kp, profile),
                            np.concatenate([w0, substrates]), config.t_final, config.dt,
                            config.newton, theta_max=THETA_MAX_DENSE)
     return trajectory, grid

@@ -82,13 +82,8 @@ def rhs_vector(t: float, y: np.ndarray, op: DiscreteOperator,
 
 
 def jacobian_vector(t: float, y: np.ndarray, op: DiscreteOperator,
-                    kp: KineticParams, profile: TemperatureProfile,
-                    out: np.ndarray = None) -> np.ndarray:
-    """Analytic Jacobian of :func:`rhs_vector` with respect to y.
-
-    Written into ``out``, a (C+4, C+4) float array, when given; every
-    entry is written.
-    """
+                    kp: KineticParams, profile: TemperatureProfile) -> np.ndarray:
+    """Analytic Jacobian of :func:`rhs_vector` with respect to y."""
     _check_finite(t, y)
     grid = op.grid
     C = grid.n_cells
@@ -101,7 +96,7 @@ def jacobian_vector(t: float, y: np.ndarray, op: DiscreteOperator,
     dv, db = rate_jacobian(kp, N, E, S, O, T)
     phi = death_phi(kp, E)
 
-    J = np.empty((C + 4, C + 4)) if out is None else out
+    J = np.empty((C + 4, C + 4))  # every entry is written below
 
     # densities block: birth kernel plus upwind transport and loss terms
     np.multiply(2.0 / dm, op.K, out=J[:C, :C])
