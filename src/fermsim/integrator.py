@@ -154,7 +154,7 @@ def trapezoid_step(y_n: np.ndarray, t_n: float, h: float, f, jac,
             if res <= cfg.tolerance:
                 state.f_prev = None if restarted else f_n
                 state.f = f1.copy()
-                return y, StepRecord(t1, max(updates, 1), res, True)
+                return y, StepRecord(t1, updates, res, True)
             if updates >= cfg.max_iterations:
                 raise failed(f"Newton failed at t={t1}: residual {res:.3e} "
                              f"after {updates} iterations")
