@@ -10,16 +10,21 @@ solved to max|g| <= tolerance by simplified Newton (Hairer & Wanner,
 with numpy.linalg.solve and the inverse is applied by a matrix-vector
 product, frozen across iterations and across steps.  It is rebuilt at the
 current iterate at the first step, when h changes, and whenever one
-iteration shrinks max|g| by less than the factor THETA_MAX.  f at the
-accepted iterate is the next step's f(t_n, y_n).  AB2 predictor, Euler
-start-up: each step starts from the Adams-Bashforth 2 predictor
-y_n + (h/2)(3 f(t_n, y_n) - f(t_{n-1}, y_{n-1})), exact when f is linear
-in t along the solution, except where that history is missing or does
-not fit.  There, on the first step, after a change of h and after a step
-that restarted, it starts from the explicit Euler predictor
-y_n + h f(t_n, y_n).  The stepper copies what f returns before it keeps
-it and writes into no array that f or J returns, so both may hand back
-one reused buffer.
+iteration shrinks max|g| by less than the factor theta_max, which the
+caller chooses.  Its default THETA_MAX = 1e-3 is RADAU5's for small
+systems; Hairer & Wanner raise it (to 0.1, say) when a rebuild is
+costly, and the population-balance march, whose rebuild is a dense
+O(C^3) inversion, passes 1e-2.  f at the accepted iterate is the next
+step's f(t_n, y_n).
+
+AB2 predictor, Euler start-up: each step starts from the Adams-Bashforth
+2 predictor y_n + (h/2)(3 f(t_n, y_n) - f(t_{n-1}, y_{n-1})), exact when
+f is linear in t along the solution, except where that history is
+missing or does not fit.  There, on the first step, after a change of h
+and after a step that restarted, it starts from the explicit Euler
+predictor y_n + h f(t_n, y_n).  The stepper copies what f returns before
+it keeps it and writes into no array that f or J returns, so both may
+hand back one reused buffer.
 
 A step whose iteration diverges with a matrix carried over from an earlier
 step, reaches a non-finite residual, hits a singular matrix or makes f or
