@@ -188,24 +188,32 @@ def parse_assignments(text: str) -> dict:
     return parsed
 
 
-def _apply(config: SimulationConfig, assignments: dict) -> SimulationConfig:
+def _apply(config: SimulationConfig, layers: list) -> SimulationConfig:
+    """``config`` with the assignment dicts of ``layers`` applied, later
+    layers winning, and the ramp and snapshot rules applied once."""
+    merged = {}
+    for layer in layers:
+        merged.update(layer)
     sections = {}
     top = {}
-    for canonical, value in assignments.items():
+    for canonical, value in merged.items():
         section, name, _ = _TABLE[canonical]
         if section is None:
             top[name] = value
         else:
             sections.setdefault(section, {})[name] = value
-    # When t_final changes without an explicit temperature profile, keep the
-    # default ramp window at [0.475, 0.525] of the horizon.
-    if "t_final" in top and "profile" not in sections:
+    if "t_final" in top:
         tf = top["t_final"]
-        sections["profile"] = {"t_ramp_start": 0.475 * tf, "t_ramp_end": 0.525 * tf}
-    # ... and drop stale snapshot times beyond the new horizon.
-    if "t_final" in top and "snapshot_times" not in top:
-        kept = tuple(t for t in config.snapshot_times if t <= top["t_final"])
-        top["snapshot_times"] = kept or (top["t_final"],)
+        # Without an explicit temperature key in any layer, keep the default
+        # ramp window at [0.475, 0.525] of the horizon ...
+        if "profile" not in sections:
+            sections["profile"] = {"t_ramp_start": 0.475 * tf, "t_ramp_end": 0.525 * tf}
+        # ... and drop snapshot times beyond the new horizon unless the layer
+        # that sets t_final, or a later one, gives them.
+        last = max(i for i, layer in enumerate(layers) if "t_final" in layer)
+        if not any("snapshot_times" in layer for layer in layers[last:]):
+            kept = tuple(t for t in top.get("snapshot_times", config.snapshot_times) if t <= tf)
+            top["snapshot_times"] = kept or (tf,)
     try:
         kwargs = dict(top)
         for section, values in sections.items():
@@ -217,16 +225,16 @@ def _apply(config: SimulationConfig, assignments: dict) -> SimulationConfig:
 
 def load_config(path: str = None, overrides: dict = None) -> SimulationConfig:
     """The default config, then the ``key = value`` file at ``path``, then
-    ``overrides`` ({key: raw string}, e.g. command-line flags); each layer is
-    validated alone, and the ramp and snapshot rules see one layer's keys."""
-    config = default_config()
+    ``overrides`` ({key: raw string}, e.g. command-line flags).  The layers
+    are merged, later keys winning, and the result is validated once."""
+    layers = []
     if path is not None:
         try:
             with open(path, "r", encoding="utf-8") as handle:
                 text = handle.read()
         except OSError as exc:
             raise ConfigError(f"cannot read config file {path}: {exc}") from exc
-        config = _apply(config, parse_assignments(text))
+        layers.append(parse_assignments(text))
     if overrides:
-        config = _apply(config, dict(_parse(key, raw) for key, raw in overrides.items()))
-    return config
+        layers.append(dict(_parse(key, raw) for key, raw in overrides.items()))
+    return _apply(default_config(), layers)

@@ -117,6 +117,15 @@ def test_t_final_rescales_default_ramp(tmp_path):
         assert config.profile.t_ramp_end == pytest.approx(5.25)
 
 
+def test_flag_t_final_keeps_ramp_the_file_gave(tmp_path):
+    # the layers are merged before the ramp rule runs, so a temperature
+    # key in the file keeps its ramp under a t_final flag
+    cfg = write(tmp_path, "temperature.t_ramp_start = 5\ntemperature.t_ramp_end = 6\n")
+    config = load_config(cfg, {"t_final": "30"})
+    assert config.t_final == 30.0
+    assert (config.profile.t_ramp_start, config.profile.t_ramp_end) == (5.0, 6.0)
+
+
 def test_apply_overrides_preserves_other_fields():
     config = load_config(overrides={"model": "ode", "grid.n_cells": "60"})
     assert config.model == "ode"
