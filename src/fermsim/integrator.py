@@ -17,14 +17,22 @@ costly, and the population-balance march, whose rebuild is a dense
 O(C^3) inversion, passes 1e-2.  f at the accepted iterate is the next
 step's f(t_n, y_n).
 
-AB2 predictor, Euler start-up: each step starts from the Adams-Bashforth
-2 predictor y_n + (h/2)(3 f(t_n, y_n) - f(t_{n-1}, y_{n-1})), exact when
-f is linear in t along the solution, except where that history is
-missing or does not fit.  There, on the first step, after a change of h
-and after a step that restarted, it starts from the explicit Euler
-predictor y_n + h f(t_n, y_n).  The stepper copies what f returns before
-it keeps it and writes into no array that f or J returns, so both may
-hand back one reused buffer.
+Extrapolated predictor, never accepted uncorrected: each step starts
+from y_n + (h/2)(5 f_n - 6 f_{n-1} + 4 f_{n-2} - f_{n-3}), the trapezoid
+rule with f(t_{n+1}) extrapolated by the cubic through the last four
+accepted values of f.  While that history fills (first step, after a
+change of h, after a step that restarted) it uses the values it has:
+explicit Euler, then Adams-Bashforth 2, then the quadratic.  The
+extrapolation alone is unstable on stiff modes (on a real mode its root
+leaves the unit disc at h*lambda ~ -0.25 and is -2.9 at the division
+modes' h*lambda ~ -1.04), so a step never ends at it: a predictor that
+already meets the tolerance is corrected once by the frozen inverse M,
+y -= M g, without a new f call (Shampine 1980), and f there is carried
+as f(y~) - (2/h)(M g - g), exact for f linear with the matrix's J since
+(I - (h/2) J) M = I.  That step records 0 updates; the correction is
+skipped only while no matrix has been built.  The stepper copies what f
+returns before it keeps it and writes into no array that f or J returns,
+so both may hand back one reused buffer.
 
 A step whose iteration diverges with a matrix carried over from an earlier
 step, reaches a non-finite residual, hits a singular matrix or makes f or
@@ -60,6 +68,12 @@ _STEP_ERRORS = (NumericsError, DomainError, ZeroDivisionError, np.linalg.LinAlgE
 
 _max = np.maximum.reduce
 
+#: Predictor weights on f_n, f_{n-1}, ... by the number of values held:
+#: y_{n+1} ~ y_n + (h/2) (weights @ history) is the trapezoid rule with
+#: f(t_{n+1}) extrapolated by the polynomial through those values.
+_PREDICTOR = tuple(np.array(row) for row in
+                   ((2.0,), (3.0, -1.0), (4.0, -3.0, 1.0), (5.0, -6.0, 4.0, -1.0)))
+
 
 @dataclass(frozen=True)
 class NewtonConfig:
@@ -93,16 +107,17 @@ class StepState:
     """What one step hands to the next of the same march.
 
     ``h`` is the size of the last step; ``inverse`` is the frozen inverse
-    of I - (h/2) J; ``f`` is f at the last accepted iterate, i.e. the next
-    step's f(t_n, y_n), and ``f_prev`` is f(t_{n-1}, y_{n-1}) for the AB2
-    predictor, or None when the last step restarted or changed h.
+    of I - (h/2) J; ``history`` holds f at the last accepted iterates,
+    newest first (row 0 is the next step's f(t_n, y_n)), and ``filled``
+    counts its valid rows, at most 4: 0 before the first step, 1 after a
+    step that restarted, cut to 1 when h changes.
     """
 
     def __init__(self):
         self.inverse = None
         self.h = None
-        self.f = None
-        self.f_prev = None
+        self.history = None
+        self.filled = 0
 
     def rebuild(self, jac, t: float, y: np.ndarray, h: float) -> None:
         self.inverse = None  # drop the old inverse before building the new one
@@ -126,7 +141,7 @@ def trapezoid_step(y_n: np.ndarray, t_n: float, h: float, f, jac,
     t1 = t_n + h if t1 is None else t1
     state = StepState() if state is None else state
     if state.h != h:
-        state.h, state.inverse, state.f_prev = h, None, None
+        state.h, state.inverse, state.filled = h, None, min(state.filled, 1)
     updates, res, res_prev = 0, math.inf, None
     half_h = 0.5 * h
 
@@ -134,14 +149,15 @@ def trapezoid_step(y_n: np.ndarray, t_n: float, h: float, f, jac,
         return StepFailure(message, record=StepRecord(t1, updates, res, False))
 
     try:
-        f_n = state.f if state.f is not None else np.array(f(t_n, y_n), dtype=float)
-        if state.f_prev is not None:
-            y = 3.0 * f_n  # AB2: y_n + (h/2)(3 f_n - f_{n-1})
-            y -= state.f_prev
-            y *= half_h
-            y += y_n
-        else:
-            y = y_n + h * f_n  # explicit Euler start-up
+        if not state.filled:
+            state.history = np.empty((len(_PREDICTOR), len(y_n)))
+            state.history[0] = f(t_n, y_n)
+            state.filled = 1
+        history, filled = state.history, state.filled
+        f_n = history[0]
+        y = _PREDICTOR[filled - 1] @ history[:filled]
+        y *= half_h
+        y += y_n
     except _STEP_ERRORS as exc:
         raise failed(f"step failed at t={t1}: {exc}") from exc
     stale = state.inverse is not None
@@ -157,8 +173,17 @@ def trapezoid_step(y_n: np.ndarray, t_n: float, h: float, f, jac,
             # NaN if g holds one, as max would give
             res = _max(np.abs(g, out=half_h_f))
             if res <= cfg.tolerance:
-                state.f_prev = None if restarted else f_n
-                state.f = f1.copy()
+                kept = 0 if restarted else min(filled, len(history) - 1)
+                history[1:kept + 1] = history[:kept]
+                history[0] = f1
+                state.filled = kept + 1
+                if updates == 0 and state.inverse is not None:
+                    # correct the predictor once: y -= M g, f += (2/h)(g - M g)
+                    correction = state.inverse @ g
+                    y -= correction
+                    g -= correction
+                    g /= half_h
+                    history[0] += g
                 return y, StepRecord(t1, updates, res, True)
             if updates >= cfg.max_iterations:
                 raise failed(f"Newton failed at t={t1}: residual {res:.3e} "

@@ -89,8 +89,10 @@ def concentration_block(result):
 
 #: Relative size below which a value or a deviation is round-off: a
 #: hundredth of the Newton tolerance of 1e-10 relative to the state scales
-#: of the default run.  Changing the Newton path (predictor, matrix
-#: refreshes) moves the solution only below it.
+#: of the default run.  It is not a bound on how far a change of the
+#: Newton path (predictor, matrix refreshes) moves the solution: such
+#: changes have moved the IDE finals by up to ~2e-11 of each column's run
+#: maximum, within the tolerance but above this floor.
 ROUND_OFF_FLOOR = 1e-12
 
 

@@ -267,20 +267,25 @@ def test_rebuild_threshold_is_the_callers(theta_max, rebuilds_after_jump):
     assert traj.states[-1, 0] == pytest.approx(exact(traj.times, h), abs=1e-9)
 
 
-# --- the Adams-Bashforth 2 predictor ------------------------------------------
+# --- the extrapolated predictor -----------------------------------------------
 
-def linear_in_t(a, b, seen=None):
-    """f(t, y) = a + b t, recording the time of each call (and the first
-    state f sees at each time in ``seen``)."""
+def polynomial_in_t(coeffs, seen=None):
+    """f(t, y) = sum_k coeffs[k] t^k, recording the time of each call (and
+    the first state f sees at each time in ``seen``)."""
     times = []
 
     def f(t, y):
         if seen is not None:
             seen.setdefault(t, y.copy())
         times.append(t)
-        return a + b * t
+        return sum(c * t ** k for k, c in enumerate(coeffs))
 
     return f, times
+
+
+def linear_in_t(a, b, seen=None):
+    """f(t, y) = a + b t, as ``polynomial_in_t`` records it."""
+    return polynomial_in_t((a, b), seen)
 
 
 def test_ab2_predictor_is_exact_when_f_is_linear_in_t():
@@ -300,6 +305,71 @@ def test_ab2_predictor_is_exact_when_f_is_linear_in_t():
     t = traj.times
     np.testing.assert_allclose(traj.states, np.outer(t, a) + np.outer(0.5 * t ** 2, b)
                                + np.array([0.0, 1.0]), rtol=0, atol=1e-12)
+
+
+#: (h/2)-weights on f_n, f_{n-1}, ... of the predictor with 1, 2, 3 and 4
+#: values of f held: explicit Euler, AB2, then the quadratic and the cubic
+#: extrapolation of f to t_{n+1}
+PREDICTOR_ROWS = ((2.0,), (3.0, -1.0), (4.0, -3.0, 1.0), (5.0, -6.0, 4.0, -1.0))
+
+
+def test_predictor_history_fills_and_is_dropped():
+    # f cubic in t and J = 0: Euler, AB2 and the quadratic each leave a
+    # residual and take one update; the cubic extrapolation is exact, so
+    # from the fourth step of a history on each step takes 0 updates and
+    # one f call.  A change of h and a restart drop the whole history.
+    coeffs = (np.array([1.0]), np.array([2.0]), np.array([3.0]), np.array([1.0]))
+    value = lambda t: sum(c * t ** k for k, c in enumerate(coeffs))
+    seen = {}
+    cubic, times = polynomial_in_t(coeffs, seen)
+
+    def f(t, y):
+        if t > 1.15 and not failed:
+            failed.append(t)
+            times.append(t)
+            raise DomainError("forced restart")
+        return cubic(t, y)
+
+    jac = lambda t, y: np.zeros((1, 1))
+    state, y, t, failed = StepState(), np.zeros(1), 0.0, []
+    held, updates, per_step = [], [], []
+    for k, h in enumerate([0.1] * 6 + [0.05] * 6 + [0.1] * 8):
+        before = len(times)
+        y_n, (y, record) = y, trapezoid_step(y, t, h, f, jac, state=state)
+        assert record.converged
+        updates.append(record.newton_iterations)
+        per_step.append(len(times) - before)
+        if record.t in failed:
+            restarted_at, held = k, []
+        else:
+            if k in (0, 6, 12):
+                held = [value(t)]
+            row = PREDICTOR_ROWS[len(held) - 1]
+            predictor = y_n + 0.5 * h * sum(w * fk for w, fk in zip(row, held))
+            assert seen[record.t] == pytest.approx(predictor, rel=1e-14), k
+        held = [value(record.t)] + held[:3]
+        t = record.t
+    # f(0, y0) first; the restarted step makes the failed call, f(y_n)
+    # and one update
+    assert restarted_at == 14
+    assert updates == [1, 1, 1, 0, 0, 0] * 2 + [1, 1, 1, 1, 1, 1, 0, 0]
+    assert per_step == [3, 2, 2, 1, 1, 1] + [2, 2, 2, 1, 1, 1] + [2, 2, 3, 2, 2, 2, 1, 1]
+
+
+def test_stiff_mode_follows_the_trapezoid_product():
+    # hλ = -200/192 ~ -1.04: the extrapolation alone amplifies the stiff
+    # mode's error from step to step, so a predictor that meets the
+    # tolerance is still corrected by the frozen matrix; y1 then follows
+    # R^n to round-off, where an uncorrected predictor left ~1e-11
+    h = 1.0 / 192.0
+    f = lambda t, y: np.array([-200.0 * y[0], 1.0])
+    jac = lambda t, y: np.array([[-200.0, 0.0], [0.0, 0.0]])
+    traj = integrate(f, jac, np.array([1.0, 0.0]), 2.0, h)
+    assert traj.completed and len(traj.records) == 384
+    R = (1.0 - 100.0 * h) / (1.0 + 100.0 * h)
+    exact = R ** np.arange(len(traj.times))
+    assert np.max(np.abs(traj.states[:, 0] - exact)) <= 1e-15
+    np.testing.assert_allclose(traj.states[:, 1], traj.times, rtol=0, atol=1e-12)
 
 
 def euler(y, t, h, a, b):
@@ -394,3 +464,17 @@ def test_dense_march_trades_updates_for_rebuilds(monkeypatch):
     steps = two_day_run("ide")
     assert jac_calls[0] <= 8
     assert (rhs_calls[0] - 1 - steps) / steps <= 2.5
+
+
+@pytest.mark.parametrize("model, bound", [("ide", 1.7), ("ode", 0.7)])
+def test_extrapolated_predictor_cuts_newton_updates(model, bound, monkeypatch):
+    # the runs of test_predictor_keeps_newton_updates_low: AB2 took 2.03
+    # (60 cells) and 1.77 (ODE) updates per step, the cubic extrapolation
+    # with its corrected acceptance 1.54 and 0.54
+    from fermsim import integrator, reduced
+    from fermsim import simulate as sim
+    monkeypatch.setattr(sim, "THETA_MAX_DENSE", integrator.THETA_MAX)
+    module, name = (sim, "rhs_vector") if model == "ide" else (reduced, "ode_rhs_vector")
+    calls = count_calls(monkeypatch, module, name)
+    steps = two_day_run(model)
+    assert (calls[0] - 1 - steps) / steps <= bound
