@@ -36,8 +36,8 @@ so both may hand back one reused buffer.
 
 A step whose iteration diverges with a matrix carried over from an earlier
 step, reaches a non-finite residual, hits a singular matrix or makes f or
-J raise NumericsError, DomainError or ZeroDivisionError (a rate law on
-Python floats whose denominator is exactly zero) starts over once from
+J raise NumericsError, DomainError or ArithmeticError (a rate law on
+Python floats that divides by zero or overflows) starts over once from
 y_n with a matrix built there, the start of a full Newton iteration.  If
 that fails as well, or max_iterations updates pass, the step raises
 StepFailure.
@@ -64,7 +64,7 @@ THETA_MAX = 1e-3
 #: least, so a march this long already takes minutes.
 MAX_STEPS = 1_000_000
 
-_STEP_ERRORS = (NumericsError, DomainError, ZeroDivisionError, np.linalg.LinAlgError)
+_STEP_ERRORS = (NumericsError, DomainError, ArithmeticError, np.linalg.LinAlgError)
 
 _max = np.maximum.reduce
 
@@ -104,7 +104,8 @@ class Trajectory:
 
 
 class StepState:
-    """What one step hands to the next of the same march.
+    """One march: its fixed f, jac, cfg and rebuild threshold theta_max,
+    and what each step hands to the next.
 
     ``h`` is the size of the last step; ``inverse`` is the frozen inverse
     of I - (h/2) J; ``history`` holds f at the last accepted iterates,
@@ -113,33 +114,28 @@ class StepState:
     step that restarted, cut to 1 when h changes.
     """
 
-    def __init__(self):
+    def __init__(self, f, jac, cfg: NewtonConfig, theta_max: float):
+        self.f, self.jac, self.cfg, self.theta_max = f, jac, cfg, theta_max
         self.inverse = None
         self.h = None
         self.history = None
         self.filled = 0
 
-    def rebuild(self, jac, t: float, y: np.ndarray, h: float) -> None:
+    def rebuild(self, t: float, y: np.ndarray, h: float) -> None:
         self.inverse = None  # drop the old inverse before building the new one
-        A = np.multiply(-0.5 * h, jac(t, y))  # a new array, not what jac returned
+        A = np.multiply(-0.5 * h, self.jac(t, y))  # a new array, not what jac returned
         A.flat[::len(A) + 1] += 1.0
         self.inverse = np.linalg.solve(A, np.identity(len(y)))
 
 
-def trapezoid_step(y_n: np.ndarray, t_n: float, h: float, f, jac,
-                   cfg: NewtonConfig = NewtonConfig(), *, t1: float = None,
-                   state: StepState = None, theta_max: float = THETA_MAX):
+def trapezoid_step(y_n: np.ndarray, t_n: float, t1: float, h: float, state: StepState):
     """Advance one implicit trapezoidal step; returns (y_{n+1}, StepRecord).
 
-    ``t1`` is the stage time (default ``t_n + h``).  ``state`` is the
-    StepState left by the step that accepted ``y_n``, or None; it is
-    updated in place.  ``theta_max`` is the rebuild threshold.
+    ``y_n`` is a float array, ``t1`` the stage time and ``h`` > 0 the
+    step size.  ``state`` is the march's StepState, left by the step that
+    accepted ``y_n``; it is updated in place.
     """
-    if h <= 0:
-        raise ConfigError("step size must be > 0")
-    y_n = np.asarray(y_n, dtype=float)
-    t1 = t_n + h if t1 is None else t1
-    state = StepState() if state is None else state
+    f, cfg = state.f, state.cfg
     if state.h != h:
         state.h, state.inverse, state.filled = h, None, min(state.filled, 1)
     updates, res, res_prev = 0, math.inf, None
@@ -190,13 +186,13 @@ def trapezoid_step(y_n: np.ndarray, t_n: float, h: float, f, jac,
                              f"after {updates} iterations")
             if not math.isfinite(res):
                 raise NumericsError(f"non-finite Newton residual after {updates} iterations")
-            if res_prev is not None and res > theta_max * res_prev:
+            if res_prev is not None and res > state.theta_max * res_prev:
                 if stale and res >= res_prev:
                     raise NumericsError(f"Newton iteration diverged: residual {res:.3e}")
-                state.rebuild(jac, t1, y, h)
+                state.rebuild(t1, y, h)
                 stale = False
             elif state.inverse is None:
-                state.rebuild(jac, t1, y, h)
+                state.rebuild(t1, y, h)
         except _STEP_ERRORS as exc:
             if restarted:
                 what = ("singular Newton matrix" if isinstance(exc, np.linalg.LinAlgError)
@@ -254,13 +250,11 @@ def integrate(f, jac, y0: np.ndarray, t_final: float, h: float,
     times[-1] = t_final if n_steps else 0.0
     stage_times = times.tolist()
     records = []
-    state = StepState()
+    state = StepState(f, jac, cfg, theta_max)
     y = y0
     for k in range(n_steps):
         try:
-            y, rec = trapezoid_step(y, stage_times[k], h, f, jac, cfg,
-                                    t1=stage_times[k + 1], state=state,
-                                    theta_max=theta_max)
+            y, rec = trapezoid_step(y, stage_times[k], stage_times[k + 1], h, state)
         except StepFailure as exc:
             return Trajectory(times=times[:k + 1], states=states[:k + 1],
                               records=records, completed=False, failure=str(exc))

@@ -119,13 +119,12 @@ def check_partition_normalization(dp: DivisionParams = None) -> list:
     return reports
 
 
-def check_partition_symmetry(dp: DivisionParams = None, n_pairs: int = 10_000,
-                             seed: int = 2024) -> OracleReport:
-    """Exact daughter-mass symmetry p(m, m') = p(m' − m, m')."""
+def check_partition_symmetry(dp: DivisionParams = None) -> OracleReport:
+    """Exact daughter-mass symmetry p(m, m') = p(m' − m, m') at 10^4 pairs."""
     dp = dp or DivisionParams()
-    rng = np.random.default_rng(seed)
-    m_prime = rng.uniform(0.001, 0.999, size=n_pairs)
-    m = rng.uniform(0.0, 1.0, size=n_pairs) * m_prime
+    rng = np.random.default_rng(2024)
+    m_prime = rng.uniform(0.001, 0.999, size=10_000)
+    m = rng.uniform(0.0, 1.0, size=10_000) * m_prime
     dev = np.abs(partition(dp, m, m_prime) - partition(dp, m_prime - m, m_prime))
     # The identity is exact in real arithmetic; the float-evaluated
     # complement m' - m rounds, so allow a few ulp of the p scale.
@@ -144,34 +143,34 @@ def _daughters_fit(grid, dp: DivisionParams, j: int) -> bool:
     return grid.edges[j] - dp.m_t > grid.m_min + margin
 
 
-def check_kernel_row_sums(n_cells: int = 30, n_quad: int = 30) -> OracleReport:
+def check_kernel_row_sums() -> OracleReport:
     """Column sums of the birth kernel vs the per-column division integral.
 
     Since the daughter-mass density integrates to 1 and the factor 2 of
     the birth term lives outside the kernel, each admissible column of K
     sums to the division-rate integral over that mother cell.
     """
-    grid = build_grid(0.001, 0.999, n_cells)
+    grid = build_grid(0.001, 0.999, 30)
     dp = DivisionParams()
-    op = assemble_operator(grid, dp, n_quad)
+    op = assemble_operator(grid, dp, 30)
     worst = 0.0
-    for j in range(1, n_cells - 1):
+    for j in range(1, grid.n_cells - 1):
         expected = quadrature_oracle(
             lambda m: float(division_rate(dp, np.asarray(m))),
-            grid.edges[j], grid.edges[j + 1], 4 * n_quad)
+            grid.edges[j], grid.edges[j + 1], 4 * 30)
         if expected < 1e-12 or not _daughters_fit(grid, dp, j):
             continue
         worst = max(worst, abs(op.K[:, j].sum() - expected) / expected)
     return OracleReport("kernel_column_sum_rel_dev", worst, 1e-3)
 
 
-def check_kernel_refinement(n_cells: int = 30, n_quad: int = 30) -> OracleReport:
+def check_kernel_refinement() -> OracleReport:
     """K entries at 4x quadrature resolution vs production resolution."""
-    grid = build_grid(0.001, 0.999, n_cells)
+    grid = build_grid(0.001, 0.999, 30)
     dp = DivisionParams()
-    coarse = assemble_operator(grid, dp, n_quad).K
-    fine = assemble_operator(grid, dp, 4 * n_quad).K
-    interior = slice(1, n_cells - 1)
+    coarse = assemble_operator(grid, dp, 30).K
+    fine = assemble_operator(grid, dp, 4 * 30).K
+    interior = slice(1, grid.n_cells - 1)
     scale = np.maximum(np.abs(fine[interior, interior]), np.max(np.abs(fine)))
     dev = np.abs(coarse[interior, interior] - fine[interior, interior]) / scale
     return OracleReport("kernel_quadrature_refinement_rel_dev", float(dev.max()), 1e-4)
@@ -189,36 +188,36 @@ _KERNEL_SAMPLES = (
 )
 
 
-def check_kernel_entries(n_quad: int = 30) -> OracleReport:
+def check_kernel_entries() -> OracleReport:
     """Sampled K entries vs scalar double quadrature, max |dK| / max |K|.
 
     The samples cover each region the assembly computes differently.
     """
     grid = build_grid(0.001, 0.999, 30)
     dp = DivisionParams()
-    K = assemble_operator(grid, dp, n_quad).K
+    K = assemble_operator(grid, dp, 30).K
 
     def entry(i, j):
         def inner(m):
             return quadrature_oracle(
                 lambda mp: float(partition(dp, np.asarray(m), np.asarray(mp))
                                  * division_rate(dp, np.asarray(mp))),
-                grid.edges[j], grid.edges[j + 1], n_quad)
-        return quadrature_oracle(inner, grid.edges[i], grid.edges[i + 1], n_quad)
+                grid.edges[j], grid.edges[j + 1], 30)
+        return quadrature_oracle(inner, grid.edges[i], grid.edges[i + 1], 30)
 
     worst = max(abs(entry(i, j) - K[i, j]) for i, j in _KERNEL_SAMPLES)
     return OracleReport("kernel_entries_vs_scalar_quadrature_rel_dev",
                         worst / float(np.max(np.abs(K))), 1e-12)
 
 
-def check_division_biomass_balance(n_cells: int = 150, n_quad: int = 30) -> OracleReport:
+def check_division_biomass_balance() -> OracleReport:
     """Discrete biomass balance of division: daughters carry the mother mass."""
-    grid = build_grid(0.001, 0.999, n_cells)
+    grid = build_grid(0.001, 0.999, 150)
     dp = DivisionParams()
-    op = assemble_operator(grid, dp, n_quad)
+    op = assemble_operator(grid, dp, 30)
     centers = grid.centers
     worst = 0.0
-    for j in range(n_cells):
+    for j in range(grid.n_cells):
         produced = 2.0 * float(np.dot(centers, op.K[:, j]))
         removed = centers[j] * op.gamma_int[j]
         if removed < 1e-10 or not _daughters_fit(grid, dp, j):
@@ -227,21 +226,19 @@ def check_division_biomass_balance(n_cells: int = 150, n_quad: int = 30) -> Orac
     return OracleReport("division_biomass_balance_rel_dev", worst, 1e-2)
 
 
-def check_jacobian(n_cells: int = 30, n_states: int = 5, seed: int = 7,
-                   h_fd: float = 1e-6) -> OracleReport:
-    """Analytic Jacobian vs central finite differences of the rhs."""
-    grid = build_grid(0.001, 0.999, n_cells)
+def check_jacobian() -> OracleReport:
+    """Analytic Jacobian vs central finite differences of the rhs at 5 states."""
+    grid = build_grid(0.001, 0.999, 30)
     op = assemble_operator(grid, DivisionParams(), 30)
     kp = KineticParams()
     profile = TemperatureProfile()
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(7)
     worst = 0.0
-    for _ in range(n_states):
-        y = random_admissible_state(rng, n_cells)
+    for _ in range(5):
+        y = random_admissible_state(rng, grid.n_cells)
         t = rng.uniform(0.0, 20.0)
         analytic = jacobian_vector(t, y, op, kp, profile)
-        approx = fd_jacobian(t, y, lambda tt, yy: rhs_vector(tt, yy, op, kp, profile),
-                             h_fd)
+        approx = fd_jacobian(t, y, lambda tt, yy: rhs_vector(tt, yy, op, kp, profile))
         worst = max(worst, jacobian_deviation(analytic, approx))
     return OracleReport("jacobian_vs_fd_rel_dev", worst, 1e-5)
 

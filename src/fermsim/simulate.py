@@ -127,7 +127,8 @@ def _summary_lines(config, trajectory, finals, wall_time):
         lines += [
             f"newton_iterations_median = {float(np.median(iters)):g}",
             f"newton_iterations_max = {max(iters)}",
-            f"newton_all_converged = {all(r.converged for r in trajectory.records)}",
+            # records hold the accepted steps only; an aborted run's last step failed
+            f"newton_all_converged = {trajectory.completed}",
         ]
     lines += [f"final_{name} = {_fmt(value)}" for name, value in finals]
     if trajectory.failure:
@@ -211,8 +212,7 @@ def run(config: SimulationConfig) -> RunResult:
 _COMPARE_TIMES = (0.0, 5.0, 10.0, 15.0, 20.0)
 
 
-def compare(dir_a: str, dir_b: str, out_path: str,
-            times=None) -> list:
+def compare(dir_a: str, dir_b: str, out_path: str) -> list:
     """Write a per-state relative-difference table for two completed runs.
 
     States are matched by trajectory column name (time and bookkeeping
@@ -220,9 +220,11 @@ def compare(dir_a: str, dir_b: str, out_path: str,
     |a(t) - b(t)| / max_t |a(t)|: differences are scaled by the size of
     the reference trajectory, which keeps states that decay to ~0 (e.g.
     dissolved oxygen) from reporting meaningless ratios of round-off
-    tails.  Output rows: state, t, value_a, value_b, rel_diff; one extra
-    row per state with t = -1 holding the max over the whole horizon.
-    Returns the rows.
+    tails.  It is reported at those of the days 0, 5, 10, 15 and 20 that
+    both runs reach, each matched to the nearest row of either run (a tie
+    goes to the earlier row).  Output rows: state, t, value_a, value_b,
+    rel_diff; one extra row per state with t = -1 holding the max over
+    the whole horizon.  Returns the rows.
     """
     runs = []
     for run_dir in (dir_a, dir_b):
@@ -235,9 +237,8 @@ def compare(dir_a: str, dir_b: str, out_path: str,
     shared = [c for c in header_a if c in header_b and c not in _NON_STATE]
     if not shared:
         raise ConfigError("trajectories share no state columns")
-    if times is None:
-        horizon = min(t_a[-1], t_b[-1])
-        times = [t for t in _COMPARE_TIMES if t <= horizon] or [horizon]
+    horizon = min(t_a[-1], t_b[-1])
+    times = [t for t in _COMPARE_TIMES if t <= horizon] or [horizon]
 
     # b sampled at the requested times and at a's time points via nearest rows
     ia_req, ib_req, ib_all = _nearest(t_a, times), _nearest(t_b, times), _nearest(t_b, t_a)

@@ -318,15 +318,16 @@ def test_compare_run_against_itself_is_zero(tmp_path):
 
 
 def test_compare_nearest_rows_match_argmin(tmp_path):
-    # a's odd rows lie exactly midway between two of b's: ties go to the earlier row
+    # day 5 and a's rows at odd days lie exactly midway between two of b's:
+    # ties go to the earlier row
     dirs = [tmp_path / "fine", tmp_path / "coarse"]
-    for out, dt in zip(dirs, ("0.0625", "0.125")):
-        assert main(["simulate", "--config", write(tmp_path, SHORT), "--model", "ode",
-                     "--dt", dt, "--output-dir", str(out)]) == 0
+    for out, dt in zip(dirs, ("0.25", "2")):
+        assert main(["simulate", "--config", write(tmp_path, "t_final = 6\n"),
+                     "--model", "ode", "--dt", dt, "--output-dir", str(out)]) == 0
     (header_a, a), (header_b, b) = (read_csv(d / "trajectory.csv") for d in dirs)
     t_a, t_b = a[:, 0], b[:, 0]
-    times = [0.0625, 0.5, 0.5625, 0.95, 1.0]
-    rows = compare(str(dirs[0]), str(dirs[1]), str(tmp_path / "cmp.csv"), times=times)
+    times = (0.0, 5.0)  # the compare days within the 6-day horizon
+    rows = compare(str(dirs[0]), str(dirs[1]), str(tmp_path / "cmp.csv"))
     nearest = lambda t, x: int(np.argmin(np.abs(t - x)))
     expected = []
     for state in ("X", "N", "E", "S", "O"):
@@ -376,3 +377,30 @@ def test_compare_two_distributions_snapshots_have_two_peaks(tmp_path):
 
 def test_verify_fast_exit_code():
     assert main(["verify", "--fast"]) == 0
+
+
+def test_verify_default_runs_the_positivity_march(capsys):
+    assert main(["verify"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert [line.split()[0] for line in lines
+            if line.split()[1].startswith("trajectory_positivity")] == ["PASS"]
+
+
+@pytest.mark.parametrize("model", ["ide", "ode"])
+def test_overflowing_rate_constant_is_integration_failure(tmp_path, capsys, model):
+    # kd1 ** 2 overflows a Python float while the Jacobian is built
+    cfg = write(tmp_path, f"model = {model}\nkinetic.kd1 = 1e300\n")
+    assert main(["simulate", "--config", cfg, "--output-dir", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert len(err.strip().splitlines()) == 1
+    assert err.startswith("integration failure: ")
+
+
+def test_aborted_run_summary_reads_not_converged(tmp_path):
+    cfg = write(tmp_path, "model = ode\ngrid.n_cells = 20\nnewton.max_iterations = 1\n")
+    out = tmp_path / "out"
+    assert main(["simulate", "--config", cfg, "--output-dir", str(out)]) == 2
+    summary = (out / "run_summary.txt").read_text().splitlines()
+    assert "completed = False" in summary
+    assert "newton_all_converged = False" in summary
+    assert any(line.startswith("failure = Newton failed") for line in summary)

@@ -4,7 +4,7 @@ import pytest
 from fermsim import (ConfigError, DistributionSpec, DomainError, KineticParams,
                      NewtonConfig, NumericsError, StepFailure,
                      build_initial_density, integrate)
-from fermsim.integrator import StepState, trapezoid_step
+from fermsim.integrator import THETA_MAX, StepState, trapezoid_step
 from fermsim.simulate import DENSITY_SCALE
 from fermsim.system import jacobian_vector, rhs_vector
 
@@ -45,8 +45,8 @@ def test_nonlinear_second_order():
 
 def test_single_step_record():
     _, f, jac = linear_system()
-    y1, record = trapezoid_step(np.array([1.0, 1.0]), 0.0, 0.01, f, jac,
-                                NewtonConfig())
+    state = StepState(f, jac, NewtonConfig(), THETA_MAX)
+    y1, record = trapezoid_step(np.array([1.0, 1.0]), 0.0, 0.01, 0.01, state)
     assert record.converged
     assert record.residual_norm <= 1e-10
     assert record.newton_iterations >= 1
@@ -90,8 +90,8 @@ def test_step_failure_carries_record():
     f = lambda t, y: y ** 2
     jac = lambda t, y: np.diag(2.0 * y)
     with pytest.raises(StepFailure) as excinfo:
-        trapezoid_step(np.array([100.0]), 0.0, 10.0, f, jac,
-                       NewtonConfig(max_iterations=3))
+        trapezoid_step(np.array([100.0]), 0.0, 10.0, 10.0,
+                       StepState(f, jac, NewtonConfig(max_iterations=3), THETA_MAX))
     assert not excinfo.value.record.converged
 
 
@@ -331,11 +331,12 @@ def test_predictor_history_fills_and_is_dropped():
         return cubic(t, y)
 
     jac = lambda t, y: np.zeros((1, 1))
-    state, y, t, failed = StepState(), np.zeros(1), 0.0, []
+    state = StepState(f, jac, NewtonConfig(), THETA_MAX)
+    y, t, failed = np.zeros(1), 0.0, []
     held, updates, per_step = [], [], []
     for k, h in enumerate([0.1] * 6 + [0.05] * 6 + [0.1] * 8):
         before = len(times)
-        y_n, (y, record) = y, trapezoid_step(y, t, h, f, jac, state=state)
+        y_n, (y, record) = y, trapezoid_step(y, t, t + h, h, state)
         assert record.converged
         updates.append(record.newton_iterations)
         per_step.append(len(times) - before)
@@ -380,11 +381,11 @@ def test_change_of_h_falls_back_to_euler():
     a, b, seen = np.array([1.0]), np.array([2.0]), {}
     f, times = linear_in_t(a, b, seen)
     jac = lambda t, y: np.zeros((1, 1))
-    state, y, t = StepState(), np.zeros(1), 0.0
+    state, y, t = StepState(f, jac, NewtonConfig(), THETA_MAX), np.zeros(1), 0.0
     per_step = []
     for k, h in enumerate((0.1, 0.1, 0.1, 0.05, 0.05, 0.05)):
         before = len(times)
-        y_n, (y, record) = y, trapezoid_step(y, t, h, f, jac, state=state)
+        y_n, (y, record) = y, trapezoid_step(y, t, t + h, h, state)
         assert record.converged
         per_step.append(len(times) - before)
         if k == 3:
@@ -440,41 +441,27 @@ def two_day_run(model):
     return steps
 
 
-@pytest.mark.parametrize("model, bound", [("ide", 2.2), ("ode", 1.9)])
-def test_predictor_keeps_newton_updates_low(model, bound, monkeypatch):
+@pytest.mark.parametrize("model, bound", [("ide", 1.7), ("ode", 0.7)])
+def test_extrapolated_predictor_cuts_newton_updates(model, bound, monkeypatch):
     # 2-day runs at dt = 1/192 under the default rebuild threshold: the
     # Euler predictor needed 2.54 (60 cells) and 2.16 (ODE) updates per
-    # step, AB2 2.03 and 1.77
+    # step, AB2 2.03 and 1.77, the cubic extrapolation with its corrected
+    # acceptance 1.54 and 0.54
     from fermsim import integrator, reduced
     from fermsim import simulate as sim
     monkeypatch.setattr(sim, "THETA_MAX_DENSE", integrator.THETA_MAX)
     module, name = (sim, "rhs_vector") if model == "ide" else (reduced, "ode_rhs_vector")
     calls = count_calls(monkeypatch, module, name)
     steps = two_day_run(model)
-    # one rhs call per update, one per step and f(0, y0)
     assert (calls[0] - 1 - steps) / steps <= bound
 
 
 def test_dense_march_trades_updates_for_rebuilds(monkeypatch):
-    # the same 60-cell run under THETA_MAX_DENSE: 4 matrix rebuilds at
-    # 2.36 updates per step, where the default threshold takes 28 at 2.03
+    # the 60-cell run above under THETA_MAX_DENSE: 4 matrix rebuilds at
+    # 1.79 updates per step, where the default threshold takes 18 at 1.54
     from fermsim import simulate as sim
     rhs_calls = count_calls(monkeypatch, sim, "rhs_vector")
     jac_calls = count_calls(monkeypatch, sim, "jacobian_vector")
     steps = two_day_run("ide")
     assert jac_calls[0] <= 8
     assert (rhs_calls[0] - 1 - steps) / steps <= 2.5
-
-
-@pytest.mark.parametrize("model, bound", [("ide", 1.7), ("ode", 0.7)])
-def test_extrapolated_predictor_cuts_newton_updates(model, bound, monkeypatch):
-    # the runs of test_predictor_keeps_newton_updates_low: AB2 took 2.03
-    # (60 cells) and 1.77 (ODE) updates per step, the cubic extrapolation
-    # with its corrected acceptance 1.54 and 0.54
-    from fermsim import integrator, reduced
-    from fermsim import simulate as sim
-    monkeypatch.setattr(sim, "THETA_MAX_DENSE", integrator.THETA_MAX)
-    module, name = (sim, "rhs_vector") if model == "ide" else (reduced, "ode_rhs_vector")
-    calls = count_calls(monkeypatch, module, name)
-    steps = two_day_run(model)
-    assert (calls[0] - 1 - steps) / steps <= bound
