@@ -1,6 +1,12 @@
 import pytest
 
-from fermsim.oracles import OracleReport, quadrature_oracle, run_all
+from fermsim.oracles import (OracleReport, check_division_biomass_balance,
+                             check_jacobian, check_kernel_entries,
+                             check_kernel_refinement, check_kernel_row_sums,
+                             check_lambda, check_mass_scaling,
+                             check_partition_normalization,
+                             check_partition_symmetry, quadrature_oracle,
+                             run_all)
 
 
 def test_report_pass_flag_matches_bound():
@@ -24,6 +30,17 @@ def test_quadrature_known_error_for_quadratic():
 def test_quadrature_rejects_bad_subdivision():
     with pytest.raises(ValueError):
         quadrature_oracle(lambda x: x, 0.0, 1.0, 0)
+
+
+def test_individual_checks_pass():
+    reports = [check_lambda(), check_partition_symmetry(),
+               check_kernel_row_sums(), check_kernel_refinement(),
+               check_kernel_entries(), check_division_biomass_balance(),
+               check_jacobian()]
+    reports += check_mass_scaling()
+    reports += check_partition_normalization()
+    for report in reports:
+        assert report.passed, report.line()
 
 
 def test_run_all_fast():
