@@ -9,7 +9,8 @@ import numpy as np
 from .errors import ConfigError
 
 #: Most mass cells a grid may have: the full model's dense (C+4)^2 Jacobian,
-#: its inverse and the kernel matrix K are each about 134 MB at this many.
+#: its inverse, the kernel matrix K and the operator A built from it are
+#: each about 134 MB at this many.
 MAX_CELLS = 4096
 
 

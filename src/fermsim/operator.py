@@ -5,6 +5,10 @@ gamma_int[i] the integral of Gamma over cell_i; both via the composite
 trapezoidal rule (tensor-product in the 2D case) on the nodes of
 ``_cell_nodes_weights``.
 
+The march (:mod:`fermsim.system`) reads three arrays built here from them
+and the grid: A = (2 K - diag gamma_int) / dm, the upwind transport weights
+edges[1:C] / dm and the interior moment weights (the centers, 0 at both ends).
+
 The assembly uses the structure of the kernel instead of evaluating p at
 every daughter node against every mother node.  With g[j, b] =
 Gamma(m'_jb) * w_b (zero at and below m_t, so the m' > m_t condition of p
@@ -47,6 +51,9 @@ MAX_QUAD = 1000
 class DiscreteOperator:
     K: np.ndarray = field(repr=False)           # (C, C), mass/day
     gamma_int: np.ndarray = field(repr=False)   # (C,), mass/day
+    A: np.ndarray = field(repr=False)           # (C, C), 1/day
+    transport: np.ndarray = field(repr=False)   # (C-1,), 1/mass
+    moment_weights: np.ndarray = field(repr=False)  # (C,), mass
     grid: MassGrid
     n_quad: int
 
@@ -70,8 +77,8 @@ def check_n_quad(n_quad: int) -> None:
         raise ConfigError(f"n_quad {n_quad:.6g} is more than the {MAX_QUAD} allowed")
 
 
-def assemble_operator(grid: MassGrid, d: DivisionParams, n_quad: int = 30) -> DiscreteOperator:
-    """Assemble the kernel matrix and division integrals on ``grid``."""
+def assemble_operator(grid: MassGrid, d: DivisionParams, n_quad: int) -> DiscreteOperator:
+    """Assemble the kernel matrix, division integrals and derived arrays on ``grid``."""
     check_n_quad(n_quad)
     lam = d.lam
     nodes, wq = _cell_nodes_weights(grid, n_quad)
@@ -99,4 +106,7 @@ def assemble_operator(grid: MassGrid, d: DivisionParams, n_quad: int = 30) -> Di
         K[:j - 1, j] = lam * (e1[:j - 1] * gamma_int[j] + T[j:1:-1] @ g[j])
     np.fill_diagonal(K, diag)
     np.fill_diagonal(K[:, 1:], upper)
-    return DiscreteOperator(K=K, gamma_int=gamma_int, grid=grid, n_quad=n_quad)
+    A = np.multiply(2.0 / grid.dm, K)
+    np.fill_diagonal(A, (2.0 * diag - gamma_int) / grid.dm)
+    return DiscreteOperator(K=K, gamma_int=gamma_int, A=A, transport=grid.edges[1:C] / grid.dm,
+                            moment_weights=np.pad(grid.centers[1:-1], 1), grid=grid, n_quad=n_quad)

@@ -33,7 +33,7 @@ def ode_rhs_vector(t: float, y: np.ndarray, kp: KineticParams,
 
 def ode_jacobian_vector(t: float, y: np.ndarray, kp: KineticParams,
                         profile: TemperatureProfile) -> np.ndarray:
-    X, N, E, S, O = y
+    X, N, E, S, O = y.tolist()
     T = temperature(profile, t)
     v, b = rates(kp, N, E, S, O, T)
     dv, db = rate_jacobian(kp, N, E, S, O, T)

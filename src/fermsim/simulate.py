@@ -140,20 +140,24 @@ def march(config: SimulationConfig):
     """Integrate the configured model from its initial state; writes nothing.
 
     Returns ``(trajectory, grid)``.  A failed step ends the trajectory
-    early (``trajectory.completed`` is False) instead of raising.
+    early (``trajectory.completed`` is False) instead of raising.  numpy's
+    float warnings are off, so a failure prints one line; a non-finite
+    value still fails the rhs or Jacobian (``_check_finite``), the Newton
+    residual test or ``build_initial_density`` (a total that is not > 0).
     """
-    grid = build_grid(config.m_min, config.m_max, config.n_cells)
-    kp, profile, ini = config.kinetic, config.profile, config.initial
-    substrates = [ini.N0, ini.E0, ini.S0, ini.O0]
-    if config.model == "ode":
-        y0 = np.array([initial_biomass(config), *substrates])
-        return run_ode(y0, config.t_final, config.dt, kp, profile, config.newton), grid
-    op = assemble_operator(grid, config.division, config.n_quad)
-    w0 = build_initial_density(config.distribution, grid) / DENSITY_SCALE
-    trajectory = integrate(lambda t, y: rhs_vector(t, y, op, kp, profile),
-                           lambda t, y: jacobian_vector(t, y, op, kp, profile),
-                           np.concatenate([w0, substrates]), config.t_final, config.dt,
-                           config.newton, theta_max=THETA_MAX_DENSE)
+    with np.errstate(all="ignore"):
+        grid = build_grid(config.m_min, config.m_max, config.n_cells)
+        kp, profile, ini = config.kinetic, config.profile, config.initial
+        substrates = [ini.N0, ini.E0, ini.S0, ini.O0]
+        if config.model == "ode":
+            y0 = np.array([initial_biomass(config), *substrates])
+            return run_ode(y0, config.t_final, config.dt, kp, profile, config.newton), grid
+        op = assemble_operator(grid, config.division, config.n_quad)
+        w0 = build_initial_density(config.distribution, grid) / DENSITY_SCALE
+        trajectory = integrate(lambda t, y: rhs_vector(t, y, op, kp, profile),
+                               lambda t, y: jacobian_vector(t, y, op, kp, profile),
+                               np.concatenate([w0, substrates]), config.t_final, config.dt,
+                               config.newton, theta_max=THETA_MAX_DENSE)
     return trajectory, grid
 
 

@@ -5,11 +5,14 @@ State layout: y = (w_0 .. w_{C-1}, N, E, S, O).  Densities w are in
 sum(centers * w * dm) is the biomass concentration in g/l and the
 tabulated yield coefficients apply without conversion factors.
 
-Advection uses the first-order upwind flux with the growth velocity
-evaluated at cell edges; the domain boundaries carry zero inflow (left)
-and zero outflow (right) fluxes.  The substrate rates are the per-biomass
-rates b of :func:`fermsim.kinetics.rates` times the first moment over
-interior cells i = 1 .. C-2 only, so they match the reduced model's b*X.
+Given the growth velocity v and the death rate phi, the density rhs is
+linear in w: w' = A w - v D w - (phi + kd) w, with A = (2 K - diag
+gamma_int) / dm and D the first-order upwind transport at the edge
+velocity, with zero end fluxes; both come from
+:func:`fermsim.operator.assemble_operator`.  The substrate rates are the
+per-biomass rates b of :func:`fermsim.kinetics.rates` times the first
+moment over interior cells i = 1 .. C-2 only, so they match the reduced
+model's b*X.
 """
 
 from __future__ import annotations
@@ -45,38 +48,30 @@ def _check_finite(t: float, y: np.ndarray) -> None:
         raise NumericsError(f"non-finite state entries at indices {bad[:8].tolist()} (t={t})")
 
 
+def _transport(op: DiscreteOperator, w: np.ndarray) -> np.ndarray:
+    """D w: each cell's net upwind outflow per unit velocity; no end fluxes."""
+    flux = op.transport * w[:-1]
+    out = np.zeros(len(w))
+    out[:-1] = flux
+    out[1:] -= flux
+    return out
+
+
 def rhs_vector(t: float, y: np.ndarray, op: DiscreteOperator,
                kp: KineticParams, profile: TemperatureProfile) -> np.ndarray:
     """Time derivative of the packed state vector."""
     _check_finite(t, y)
-    grid = op.grid
-    C = grid.n_cells
+    C = op.grid.n_cells
     w = y[:C]
     N, E, S, O = y[C:].tolist()
     v, b = rates(kp, N, E, S, O, temperature(profile, t))
-    phi = death_phi(kp, E)
 
-    # Upwind fluxes through the C-1 interior edges; the end edges carry no
-    # flux.  The steps below round as the expression
-    #   (-(flux[1:] - flux[:-1]) + 2 K w - gamma w) / dm - (phi + kd) w
-    # over the zero-padded flux does (-a + b is b - a, signed zeros too).
-    flux = v * grid.edges[1:C]
-    flux *= w[:C - 1]
     out = np.empty(C + 4)
-    wdot = out[:C]
-    wdot[0] = flux[0]
-    np.subtract(flux[1:], flux[:-1], out=wdot[1:C - 1])
-    wdot[C - 1] = 0.0 - flux[-1]
-    term = op.K @ w
-    term *= 2.0
-    np.subtract(term, wdot, out=wdot)
-    np.multiply(op.gamma_int, w, out=term)
-    wdot -= term
-    wdot /= grid.dm
-    np.multiply(phi + kp.kd, w, out=term)
-    wdot -= term
+    wdot = np.dot(op.A, w, out=out[:C])
+    wdot -= v * _transport(op, w)
+    wdot -= (death_phi(kp, E) + kp.kd) * w
 
-    moment = grid.dm * float(np.dot(grid.centers[1:C - 1], w[1:C - 1]))
+    moment = op.grid.dm * float(np.dot(op.moment_weights, w))
     out[C:] = [rate * moment for rate in b]
     return out
 
@@ -85,40 +80,27 @@ def jacobian_vector(t: float, y: np.ndarray, op: DiscreteOperator,
                     kp: KineticParams, profile: TemperatureProfile) -> np.ndarray:
     """Analytic Jacobian of :func:`rhs_vector` with respect to y."""
     _check_finite(t, y)
-    grid = op.grid
-    C = grid.n_cells
-    e = grid.edges
-    dm = grid.dm
+    C = op.grid.n_cells
     w = y[:C]
-    N, E, S, O = y[C], y[C + 1], y[C + 2], y[C + 3]
+    N, E, S, O = y[C:].tolist()
     T = temperature(profile, t)
     v, b = rates(kp, N, E, S, O, T)
     dv, db = rate_jacobian(kp, N, E, S, O, T)
-    phi = death_phi(kp, E)
 
     J = np.empty((C + 4, C + 4))  # every entry is written below
 
-    # densities block: birth kernel plus upwind transport and loss terms
-    np.multiply(2.0 / dm, op.K, out=J[:C, :C])
+    # densities block A - v D - (phi + kd) I, and the velocity column -D w dv
+    J[:C, :C] = op.A
     diag = np.arange(C)
-    J[diag, diag] -= op.gamma_int / dm + phi + kp.kd
-    J[diag[:-1], diag[:-1]] -= v * e[1:C] / dm   # outflow, not in last cell
-    J[diag[1:], diag[:-1]] += v * e[1:C] / dm    # inflow from the left
-
-    # net upwind flux divided by v; carries the velocity derivatives
-    G = e[1:] * w
-    G[-1] = 0.0
-    G[1:] -= e[1:C] * w[:C - 1]
-    J[:C, C:] = np.outer(-G / dm, dv)
+    J[diag, diag] -= death_phi(kp, E) + kp.kd
+    J[diag[:-1], diag[:-1]] -= v * op.transport   # outflow, not in last cell
+    J[diag[1:], diag[:-1]] += v * op.transport    # inflow from the left
+    J[:C, C:] = np.outer(-_transport(op, w), dv)
     J[:C, C + 1] = -death_phi_prime(kp, E) * w
 
-    # substrate rows; moment sums over interior cells only
-    ci = grid.centers.copy()
-    ci[0] = 0.0
-    ci[-1] = 0.0
-    moment = float(np.dot(ci, w)) * dm
-    J[C:, :C] = np.outer(b, ci * dm)
+    # substrate rows; moment over interior cells only
+    moment = op.grid.dm * float(np.dot(op.moment_weights, w))
+    J[C:, :C] = np.outer(b, op.grid.dm * op.moment_weights)
     J[C:, C:] = moment * db
 
     return J
-

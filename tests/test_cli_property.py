@@ -41,6 +41,11 @@ def simulate_exit_code(model, n_cells, dt, n_quad, kind, extremes):
          extremes={"kinetic.kd1": 1e300})
 @example(model="ode", n_cells=20, dt=0.015625, n_quad=30, kind="constant",
          extremes={"kinetic.kd1": 1e300})
+# float64 overflows in the rhs flux and in the kernel assembly
+@example(model="ide", n_cells=20, dt=0.015625, n_quad=30, kind="constant",
+         extremes={"kinetic.mu1": 1e300})
+@example(model="ide", n_cells=20, dt=0.015625, n_quad=30, kind="constant",
+         extremes={"division.m_d": 1e300})
 @settings(max_examples=30, derandomize=True, deadline=None, database=None)
 def test_simulate_never_raises(model, n_cells, dt, n_quad, kind, extremes):
     assert simulate_exit_code(model, n_cells, dt, n_quad, kind, extremes) in (0, 1, 2)

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -394,6 +396,25 @@ def test_overflowing_rate_constant_is_integration_failure(tmp_path, capsys, mode
     err = capsys.readouterr().err
     assert len(err.strip().splitlines()) == 1
     assert err.startswith("integration failure: ")
+
+
+@pytest.mark.parametrize("model", ["ide", "ode"])
+@pytest.mark.parametrize("key, code", [
+    ("kinetic.k2", 2), ("kinetic.k3", 2), ("kinetic.mu1", 2), ("kinetic.kd", 2),
+    ("division.m_d", 0), ("distribution.mean1", 0)])
+def test_overflowing_input_prints_no_warning(tmp_path, capsys, model, key, code):
+    # each value overflows a float64 in the rhs, the Jacobian, the Newton
+    # update, the kernel assembly or the initial shape; numpy must print no
+    # RuntimeWarning, so a failure stays one line
+    kind = "two_normal_peak" if key == "distribution.mean1" else "constant"
+    cfg = write(tmp_path, f"model = {model}\ngrid.n_cells = 20\nt_final = 0.5\n"
+                          f"dt = 0.015625\ndistribution.kind = {kind}\n{key} = 1e300\n")
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(["simulate", "--config", cfg, "--output-dir", str(tmp_path / "out")]) == code
+    assert [str(w.message) for w in caught] == []
+    err = capsys.readouterr().err
+    assert len(err.strip().splitlines()) == (1 if code == 2 else 0)
 
 
 def test_aborted_run_summary_reads_not_converged(tmp_path):

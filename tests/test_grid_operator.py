@@ -115,3 +115,12 @@ def test_structured_assembly_matches_reference(grid_args, division, n_quad):
     assert np.array_equal(op.K == 0.0, K_ref == 0.0)
     assert np.all(np.tril(op.K, -1) == 0.0)
     assert np.array_equal(op.gamma_int, gamma_ref)
+    # the march reads A = (2K - diag gamma_int)/dm and the moment weights,
+    # so tie them to the K checked above
+    off = ~np.eye(grid.n_cells, dtype=bool)
+    assert np.array_equal(op.A[off], (2.0 / grid.dm * op.K)[off])
+    assert np.array_equal(op.A[off] == 0.0, op.K[off] == 0.0)
+    diag = (2.0 * np.diag(op.K) - op.gamma_int) / grid.dm
+    assert np.all(np.abs(np.diag(op.A) - diag) <= np.spacing(np.abs(diag)))
+    assert op.moment_weights[0] == op.moment_weights[-1] == 0.0
+    assert np.array_equal(op.moment_weights[1:-1], grid.centers[1:-1])
