@@ -155,7 +155,7 @@ def trapezoid_step(y_n: np.ndarray, t_n: float, t1: float, h: float, state: Step
         y *= half_h
         y += y_n
     except _STEP_ERRORS as exc:
-        raise failed(f"step failed at t={t1}: {exc}") from exc
+        raise failed(f"step failed at t={t1}: {type(exc).__name__}: {exc}") from exc
     stale = state.inverse is not None
     restarted = False
     while True:
@@ -197,7 +197,7 @@ def trapezoid_step(y_n: np.ndarray, t_n: float, t1: float, h: float, state: Step
             if restarted:
                 what = ("singular Newton matrix" if isinstance(exc, np.linalg.LinAlgError)
                         else "step failed")
-                raise failed(f"{what} at t={t1}: {exc}") from exc
+                raise failed(f"{what} at t={t1}: {type(exc).__name__}: {exc}") from exc
             restarted, stale, res_prev = True, False, None
             state.inverse = None
             y = y_n.copy()

@@ -218,7 +218,10 @@ def partition(d: DivisionParams, m, m_prime):
     """Daughter-mass partitioning density p(m, m'); two Gaussian peaks.
 
     Vanishes unless m' > m and m' > m_t.  Satisfies the biomass symmetry
-    p(m, m') = p(m' - m, m') exactly.  Accepts arrays (broadcast).
+    p(m, m') = p(m' - m, m') exactly.  Accepts arrays (broadcast).  The
+    kernel assembly does not call it (it sums shift tables of the same
+    exponentials); it is the pointwise reference the oracles and tests
+    check the assembled kernel against.
     """
     m = np.asarray(m, dtype=float)
     mp = np.asarray(m_prime, dtype=float)

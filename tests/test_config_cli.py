@@ -396,6 +396,7 @@ def test_overflowing_rate_constant_is_integration_failure(tmp_path, capsys, mode
     err = capsys.readouterr().err
     assert len(err.strip().splitlines()) == 1
     assert err.startswith("integration failure: ")
+    assert "OverflowError" in err
 
 
 @pytest.mark.parametrize("model", ["ide", "ode"])

@@ -103,7 +103,10 @@ def _reference_assembly(grid, d, n_quad):
     ((0.001, 0.999, 150), {}, 30),
     ((0.0, 1.0, 97), {"m_t": 0.2, "beta": 150.0}, 11),
     ((0.05, 2.0, 120), {"beta": 900.0}, 30),
-], ids=["3cells_q2", "30cells", "60cells", "150cells", "97cells_q11", "120cells_lam"])
+    ((0.001, 0.3, 20), {}, 5),
+    ((0.0, 1.0, 100), {"m_t": 0.3}, 7),
+], ids=["3cells_q2", "30cells", "60cells", "150cells", "97cells_q11", "120cells_lam",
+        "no_division_q5", "m_t_on_edge_q7"])
 def test_structured_assembly_matches_reference(grid_args, division, n_quad):
     from fermsim import DivisionParams
     grid = build_grid(*grid_args)
