@@ -12,8 +12,8 @@ five-state ODE model for cross-checks.
 from .config import (InitialConcentrations, SimulationConfig, default_config,
                      load_config)
 from .distributions import DistributionSpec, build_initial_density
-from .errors import (ConfigError, DomainError, IntegrationFailure,
-                     ModelValidityError, NumericsError, StepFailure)
+from .errors import (ConfigError, DomainError, IntegrationFailure, NumericsError,
+                     StepFailure)
 from .grid import MassGrid, build_grid
 from .integrator import NewtonConfig, Trajectory, integrate
 from .kinetics import (DivisionParams, KineticParams, TemperatureProfile,
@@ -27,9 +27,9 @@ from .system import jacobian_vector, rhs_vector
 __all__ = [
     "ConfigError", "DiscreteOperator", "DistributionSpec",
     "DivisionParams", "DomainError", "InitialConcentrations",
-    "IntegrationFailure", "KineticParams", "MassGrid",
-    "ModelValidityError", "NewtonConfig", "NumericsError", "RunResult",
-    "SimulationConfig", "StepFailure", "TemperatureProfile", "Trajectory",
+    "IntegrationFailure", "KineticParams", "MassGrid", "NewtonConfig",
+    "NumericsError", "RunResult", "SimulationConfig", "StepFailure",
+    "TemperatureProfile", "Trajectory",
     "assemble_operator", "build_grid", "build_initial_density", "compare",
     "compute_lambda", "default_config", "division_rate", "integrate",
     "jacobian_vector", "load_config", "normalize_mass", "partition",

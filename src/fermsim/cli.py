@@ -58,9 +58,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_cmp.add_argument("--b", required=True, help="second run directory")
     p_cmp.add_argument("--out", required=True, help="output CSV path")
 
-    p_ver = sub.add_parser("verify", help="run the oracle suite")
-    p_ver.add_argument("--fast", action="store_true",
-                       help="skip the 20-day positivity run")
+    sub.add_parser("verify", help="run the oracle suite")
     return parser
 
 
@@ -79,8 +77,8 @@ def _compare(args) -> int:
     return EXIT_OK
 
 
-def _verify(args) -> int:
-    reports = run_all(include_slow=not args.fast)
+def _verify() -> int:
+    reports = run_all()
     ok = True
     for report in reports:
         print(report.line())
@@ -95,7 +93,7 @@ def main(argv=None) -> int:
             return _simulate(args)
         if args.command == "compare":
             return _compare(args)
-        return _verify(args)
+        return _verify()
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

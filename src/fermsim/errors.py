@@ -9,10 +9,6 @@ class DomainError(ValueError):
     """Argument outside the domain a model function is defined on."""
 
 
-class ModelValidityError(DomainError):
-    """Parameter combination produces a physically invalid rate."""
-
-
 class NumericsError(RuntimeError):
     """Non-finite values encountered during evaluation."""
 

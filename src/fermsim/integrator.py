@@ -10,12 +10,12 @@ solved to max|g| <= tolerance by simplified Newton (Hairer & Wanner,
 with numpy.linalg.solve and the inverse is applied by a matrix-vector
 product, frozen across iterations and across steps.  It is rebuilt at the
 current iterate at the first step, when h changes, and whenever one
-iteration shrinks max|g| by less than the factor theta_max, which the
-caller chooses.  Its default THETA_MAX = 1e-3 is RADAU5's for small
-systems; Hairer & Wanner raise it (to 0.1, say) when a rebuild is
-costly, and the population-balance march, whose rebuild is a dense
-O(C^3) inversion, passes 1e-2.  f at the accepted iterate is the next
-step's f(t_n, y_n).
+iteration shrinks max|g| by less than the factor THETA_MAX = 1e-2.
+RADAU5 uses 1e-3 for small systems and Hairer & Wanner raise it (to
+0.1, say) when a rebuild is costly; 1e-2 serves both models: the
+population balance, whose rebuild is a dense O(C^3) inversion, and the
+5-state reduced model, where it trades a few rebuilds for a few more
+updates.  f at the accepted iterate is the next step's f(t_n, y_n).
 
 Extrapolated predictor, never accepted uncorrected: each step starts
 from y_n + (h/2)(5 f_n - 6 f_{n-1} + 4 f_{n-2} - f_{n-3}), the trapezoid
@@ -35,8 +35,10 @@ returns before it keeps it and writes into no array that f or J returns,
 so both may hand back one reused buffer.
 
 A step whose iteration diverges with a matrix carried over from an earlier
-step, reaches a non-finite residual, hits a singular matrix or makes f or
-J raise NumericsError, DomainError or ArithmeticError (a rate law on
+step, reaches a non-finite residual (g holds y and f(y), so this is where
+a non-finite state or rate is caught; J is only built at an iterate whose
+residual was finite), hits a singular matrix or makes f or J raise
+NumericsError, DomainError or ArithmeticError (a rate law on
 Python floats that divides by zero or overflows) starts over once from
 y_n with a matrix built there, the start of a full Newton iteration.  If
 that fails as well, or max_iterations updates pass, the step raises
@@ -53,10 +55,9 @@ import numpy as np
 
 from .errors import ConfigError, DomainError, NumericsError, StepFailure
 
-#: Default rebuild threshold: rebuild the iteration matrix when one
-#: iteration shrinks max|g| by less than this factor (the RADAU5 default
-#: for small systems).
-THETA_MAX = 1e-3
+#: Rebuild the iteration matrix when one iteration shrinks max|g| by
+#: less than this factor; read at each step.
+THETA_MAX = 1e-2
 
 #: Most steps one march may take.  ``integrate`` holds every state of the
 #: march, (n_steps + 1) x (C + 4) floats (1.2 GB at 150 cells for this
@@ -104,8 +105,8 @@ class Trajectory:
 
 
 class StepState:
-    """One march: its fixed f, jac, cfg and rebuild threshold theta_max,
-    and what each step hands to the next.
+    """One march: its fixed f, jac and cfg, and what each step hands to
+    the next.
 
     ``h`` is the size of the last step; ``inverse`` is the frozen inverse
     of I - (h/2) J; ``history`` holds f at the last accepted iterates,
@@ -114,8 +115,8 @@ class StepState:
     step that restarted, cut to 1 when h changes.
     """
 
-    def __init__(self, f, jac, cfg: NewtonConfig, theta_max: float):
-        self.f, self.jac, self.cfg, self.theta_max = f, jac, cfg, theta_max
+    def __init__(self, f, jac, cfg: NewtonConfig):
+        self.f, self.jac, self.cfg = f, jac, cfg
         self.inverse = None
         self.h = None
         self.history = None
@@ -186,7 +187,7 @@ def trapezoid_step(y_n: np.ndarray, t_n: float, t1: float, h: float, state: Step
                              f"after {updates} iterations")
             if not math.isfinite(res):
                 raise NumericsError(f"non-finite Newton residual after {updates} iterations")
-            if res_prev is not None and res > state.theta_max * res_prev:
+            if res_prev is not None and res > THETA_MAX * res_prev:
                 if stale and res >= res_prev:
                     raise NumericsError(f"Newton iteration diverged: residual {res:.3e}")
                 state.rebuild(t1, y, h)
@@ -233,13 +234,11 @@ def step_count(t_final: float, h: float) -> int:
 
 
 def integrate(f, jac, y0: np.ndarray, t_final: float, h: float,
-              cfg: NewtonConfig = NewtonConfig(), *,
-              theta_max: float = THETA_MAX) -> Trajectory:
+              cfg: NewtonConfig = NewtonConfig()) -> Trajectory:
     """Fixed-step march over [0, t_final]; aborts cleanly on step failure.
 
     Stage times come from the same ``times`` array the trajectory holds,
-    so the last stage is exactly ``t_final``.  ``theta_max`` is the
-    rebuild threshold of every step.
+    so the last stage is exactly ``t_final``.
     """
     y0 = np.asarray(y0, dtype=float)
     n_steps = step_count(t_final, h)
@@ -250,7 +249,7 @@ def integrate(f, jac, y0: np.ndarray, t_final: float, h: float,
     times[-1] = t_final if n_steps else 0.0
     stage_times = times.tolist()
     records = []
-    state = StepState(f, jac, cfg, theta_max)
+    state = StepState(f, jac, cfg)
     y = y0
     for k in range(n_steps):
         try:

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, DomainError, ModelValidityError
+from .errors import ConfigError, DomainError
 
 
 @dataclass(frozen=True)
@@ -70,16 +70,18 @@ class KineticParams:
             raise ConfigError("kinetic.tol must be > 0")
 
     def check_temperature_range(self, T_low, T_high):
-        """Raise ConfigError if a temperature-linear rate turns negative on
-        [T_low, T_high]; the coefficients are linear in T, so checking the
-        endpoints covers the interval."""
+        """Raise ConfigError naming the coefficient if mu_max, beta_max or
+        K_E is negative on [T_low, T_high].
+
+        The coefficients are linear in T, so the endpoints cover the
+        interval, and ``temperature`` never leaves it: a config that passes
+        here gives non-negative coefficients at every rhs call.
+        """
         for T in (T_low, T_high):
-            try:
-                mu_max(self, T)
-                beta_max(self, T)
-                K_E(self, T)
-            except ModelValidityError as exc:
-                raise ConfigError(str(exc)) from exc
+            for coefficient in (mu_max, beta_max, K_E):
+                value = coefficient(self, T)
+                if value < 0:
+                    raise ConfigError(f"{coefficient.__name__}({T}) = {value} < 0")
 
 
 @dataclass(frozen=True)
@@ -132,33 +134,26 @@ def temperature(profile: TemperatureProfile, t: float) -> float:
 
 def mu_max(p: KineticParams, T: float) -> float:
     """Maximum specific growth rate mu1*T - mu2 (1/day)."""
-    val = p.mu1 * T - p.mu2
-    if val < 0:
-        raise ModelValidityError(f"mu_max({T}) = {val} < 0")
-    return val
+    return p.mu1 * T - p.mu2
 
 
 def beta_max(p: KineticParams, T: float) -> float:
     """Maximum ethanol production rate beta1*T - beta2 (1/day)."""
-    val = p.beta1 * T - p.beta2
-    if val < 0:
-        raise ModelValidityError(f"beta_max({T}) = {val} < 0")
-    return val
+    return p.beta1 * T - p.beta2
 
 
 def K_E(p: KineticParams, T: float) -> float:
     """Ethanol inhibition constant -KE1*T + KE2 (g/l)."""
-    val = -p.KE1 * T + p.KE2
-    if val < 0:
-        raise ModelValidityError(f"K_E({T}) = {val} < 0")
-    return val
+    return -p.KE1 * T + p.KE2
 
 
 def _michaelis(kp: KineticParams, N, E, S, O, T):
     """Temperature coefficients and Michaelis factors at one point.
 
-    Evaluated directly (no domain check) so that Newton iterates may
-    transiently leave the physical region.
+    No argument is checked: Newton iterates may transiently leave the
+    physical region, a non-finite value fails the Newton residual, and
+    the coefficient signs were checked when the config was loaded
+    (:meth:`KineticParams.check_temperature_range`).
     """
     mu, bm, ke = mu_max(kp, T), beta_max(kp, T), K_E(kp, T)
     return (mu, bm, ke, N / (kp.KN + N), ke / (ke + E),

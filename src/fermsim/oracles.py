@@ -9,6 +9,7 @@ difference of the production rhs.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -250,15 +251,13 @@ def check_trajectory_positivity() -> OracleReport:
     """
     config = default_config()
     trajectory, _ = march(config)
-    if not trajectory.completed:
-        return OracleReport("trajectory_positivity", float("inf"), 0.0)
     w = trajectory.states[:, :config.n_cells]
-    return OracleReport("trajectory_positivity_neg_fraction",
-                        max(0.0, -float(w.min())) / float(w.max()), 1e-9)
+    value = max(0.0, -float(w.min())) / float(w.max()) if trajectory.completed else math.inf
+    return OracleReport("trajectory_positivity_neg_fraction", value, 1e-9)
 
 
-def run_all(include_slow: bool = True) -> list:
-    """Full oracle suite; ``include_slow`` adds the 20-day positivity run."""
+def run_all() -> list:
+    """Full oracle suite, ending with the 20-day positivity run."""
     reports = [check_lambda()]
     reports += check_mass_scaling()
     reports.append(check_partition_symmetry())
@@ -268,6 +267,5 @@ def run_all(include_slow: bool = True) -> list:
     reports.append(check_kernel_refinement())
     reports.append(check_kernel_entries())
     reports.append(check_jacobian())
-    if include_slow:
-        reports.append(check_trajectory_positivity())
+    reports.append(check_trajectory_positivity())
     return reports

@@ -9,11 +9,8 @@ substrates change at b X.
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
-from .errors import NumericsError
 from .integrator import NewtonConfig, Trajectory, integrate
 from .kinetics import (KineticParams, TemperatureProfile, death_phi, death_phi_prime,
                        rate_jacobian, rates, temperature)
@@ -22,10 +19,6 @@ from .kinetics import (KineticParams, TemperatureProfile, death_phi, death_phi_p
 def ode_rhs_vector(t: float, y: np.ndarray, kp: KineticParams,
                    profile: TemperatureProfile) -> np.ndarray:
     X, N, E, S, O = y.tolist()
-    # A finite sum means every entry is finite; finite entries whose sum
-    # overflows pass the full scan.
-    if not math.isfinite(X + N + E + S + O) and not all(map(math.isfinite, (X, N, E, S, O))):
-        raise NumericsError(f"non-finite ODE state at t={t}")
     v, b = rates(kp, N, E, S, O, temperature(profile, t))
     return np.array([(v - death_phi(kp, E) - kp.kd) * X,
                      b[0] * X, b[1] * X, b[2] * X, b[3] * X])
@@ -49,6 +42,9 @@ def ode_jacobian_vector(t: float, y: np.ndarray, kp: KineticParams,
 
 def run_ode(y0: np.ndarray, t_final: float, h: float, kp: KineticParams,
             profile: TemperatureProfile, cfg: NewtonConfig = NewtonConfig()) -> Trajectory:
+    """March the reduced model; ConfigError if a coefficient of ``kp`` is
+    negative on ``profile``'s temperature range."""
+    kp.check_temperature_range(profile.T_low, profile.T_high)
     return integrate(lambda t, y: ode_rhs_vector(t, y, kp, profile),
                      lambda t, y: ode_jacobian_vector(t, y, kp, profile),
                      y0, t_final, h, cfg)

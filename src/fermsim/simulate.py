@@ -38,14 +38,6 @@ from .system import jacobian_vector, rhs_vector
 #: internal density unit, cells/ml
 DENSITY_SCALE = 1.0e6
 
-#: Rebuild threshold of the population-balance march.  Rebuilding its
-#: dense (C+4)^2 iteration matrix is one O(C^3) inversion, the cost of
-#: ~30 Newton updates at 150 cells and ~100 at 300, so a slower
-#: contraction is worth keeping (RADAU5 raises its 1e-3 default when
-#: Jacobians are costly).  The 5-state reduced model keeps 1e-3: there a
-#: rebuild costs ~1.5 updates.
-THETA_MAX_DENSE = 1e-2
-
 #: trajectory columns that are not model states; the run summary reports
 #: the final value of every other column and compare skips them
 _NON_STATE = {"t", "T", "newton_iters", "log10_total_cells"}
@@ -142,8 +134,8 @@ def march(config: SimulationConfig):
     Returns ``(trajectory, grid)``.  A failed step ends the trajectory
     early (``trajectory.completed`` is False) instead of raising.  numpy's
     float warnings are off, so a failure prints one line; a non-finite
-    value still fails the rhs or Jacobian (``_check_finite``), the Newton
-    residual test or ``build_initial_density`` (a total that is not > 0).
+    value still fails the Newton residual test, which holds y and f(y),
+    or ``build_initial_density`` (a total that is not > 0).
     """
     with np.errstate(all="ignore"):
         grid = build_grid(config.m_min, config.m_max, config.n_cells)
@@ -157,7 +149,7 @@ def march(config: SimulationConfig):
         trajectory = integrate(lambda t, y: rhs_vector(t, y, op, kp, profile),
                                lambda t, y: jacobian_vector(t, y, op, kp, profile),
                                np.concatenate([w0, substrates]), config.t_final, config.dt,
-                               config.newton, theta_max=THETA_MAX_DENSE)
+                               config.newton)
     return trajectory, grid
 
 

@@ -17,11 +17,8 @@ model's b*X.
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
-from .errors import NumericsError
 from .kinetics import (
     KineticParams,
     TemperatureProfile,
@@ -32,20 +29,6 @@ from .kinetics import (
     temperature,
 )
 from .operator import DiscreteOperator
-
-
-def _check_finite(t: float, y: np.ndarray) -> None:
-    """Raise NumericsError if y holds nan or +-inf.
-
-    A finite sum means every entry is finite; only a sum that is not
-    finite, which finite entries can also give by overflowing, needs the
-    full scan.
-    """
-    if math.isfinite(y.sum()):
-        return
-    bad = np.flatnonzero(~np.isfinite(y))
-    if len(bad):
-        raise NumericsError(f"non-finite state entries at indices {bad[:8].tolist()} (t={t})")
 
 
 def _transport(op: DiscreteOperator, w: np.ndarray) -> np.ndarray:
@@ -60,7 +43,6 @@ def _transport(op: DiscreteOperator, w: np.ndarray) -> np.ndarray:
 def rhs_vector(t: float, y: np.ndarray, op: DiscreteOperator,
                kp: KineticParams, profile: TemperatureProfile) -> np.ndarray:
     """Time derivative of the packed state vector."""
-    _check_finite(t, y)
     C = op.grid.n_cells
     w = y[:C]
     N, E, S, O = y[C:].tolist()
@@ -79,7 +61,6 @@ def rhs_vector(t: float, y: np.ndarray, op: DiscreteOperator,
 def jacobian_vector(t: float, y: np.ndarray, op: DiscreteOperator,
                     kp: KineticParams, profile: TemperatureProfile) -> np.ndarray:
     """Analytic Jacobian of :func:`rhs_vector` with respect to y."""
-    _check_finite(t, y)
     C = op.grid.n_cells
     w = y[:C]
     N, E, S, O = y[C:].tolist()

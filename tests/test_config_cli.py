@@ -377,15 +377,11 @@ def test_compare_two_distributions_snapshots_have_two_peaks(tmp_path):
     assert len(peaks["beta"]) == 2
 
 
-def test_verify_fast_exit_code():
-    assert main(["verify", "--fast"]) == 0
-
-
 def test_verify_default_runs_the_positivity_march(capsys):
     assert main(["verify"]) == 0
     lines = capsys.readouterr().out.splitlines()
     assert [line.split()[0] for line in lines
-            if line.split()[1].startswith("trajectory_positivity")] == ["PASS"]
+            if line.split()[1] == "trajectory_positivity_neg_fraction"] == ["PASS"]
 
 
 @pytest.mark.parametrize("model", ["ide", "ode"])

@@ -4,7 +4,8 @@ import pytest
 from fermsim import (ConfigError, DistributionSpec, DomainError, KineticParams,
                      NewtonConfig, NumericsError, StepFailure,
                      build_initial_density, integrate)
-from fermsim.integrator import THETA_MAX, StepState, trapezoid_step
+from fermsim.integrator import StepState, trapezoid_step
+from fermsim.reduced import ode_jacobian_vector, ode_rhs_vector
 from fermsim.simulate import DENSITY_SCALE
 from fermsim.system import jacobian_vector, rhs_vector
 
@@ -45,7 +46,7 @@ def test_nonlinear_second_order():
 
 def test_single_step_record():
     _, f, jac = linear_system()
-    state = StepState(f, jac, NewtonConfig(), THETA_MAX)
+    state = StepState(f, jac, NewtonConfig())
     y1, record = trapezoid_step(np.array([1.0, 1.0]), 0.0, 0.01, 0.01, state)
     assert record.converged
     assert record.residual_norm <= 1e-10
@@ -91,7 +92,7 @@ def test_step_failure_carries_record():
     jac = lambda t, y: np.diag(2.0 * y)
     with pytest.raises(StepFailure) as excinfo:
         trapezoid_step(np.array([100.0]), 0.0, 10.0, 10.0,
-                       StepState(f, jac, NewtonConfig(max_iterations=3), THETA_MAX))
+                       StepState(f, jac, NewtonConfig(max_iterations=3)))
     assert not excinfo.value.record.converged
 
 
@@ -135,16 +136,38 @@ def test_stage_times_stay_inside_horizon():
         assert traj.times[-1] == 20.0
 
 
-@pytest.mark.parametrize("error", [NumericsError, DomainError, ZeroDivisionError])
+@pytest.mark.parametrize("error", [NumericsError, DomainError, ZeroDivisionError, None])
 def test_model_errors_inside_a_step_end_the_run_cleanly(error):
+    # error None: f returns inf, and the Newton residual catches it
     def f(t, y):
-        if not np.all(np.isfinite(y)):
+        if error is not None and not np.all(np.isfinite(y)):
             raise error(f"non-finite state at t={t}")
         return y ** 2
 
     jac = lambda t, y: np.diag(2.0 * y)
     with np.errstate(over="ignore", invalid="ignore"):
         traj = integrate(f, jac, np.array([1e200]), 1.0, 0.5)
+    assert not traj.completed
+    assert "non-finite" in traj.failure
+    assert len(traj.states) == len(traj.times) == 1
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("model", ["ide", "ode"])
+@pytest.mark.parametrize("entry", ["density", "N", "E", "S", "O"])
+def test_non_finite_initial_entry_fails_the_first_step(op30, kp, profile, model, entry, value):
+    # the rhs and Jacobian check nothing: y and f(y) both enter the Newton
+    # residual, which fails the step and then its restart
+    if model == "ide":
+        f, jac, y0 = op30_problem(op30, kp, profile)
+    else:
+        f = lambda t, y: ode_rhs_vector(t, y, kp, profile)
+        jac = lambda t, y: ode_jacobian_vector(t, y, kp, profile)
+        y0 = np.array([0.5, 0.4, 0.0, 193.0, 0.012])
+    index = 0 if entry == "density" else len(y0) - 4 + "NESO".index(entry)
+    y0[index] = value
+    with np.errstate(all="ignore"):  # as simulate.march runs it
+        traj = integrate(f, jac, y0, 1.0, 1.0 / 192.0)
     assert not traj.completed
     assert "non-finite" in traj.failure
     assert len(traj.states) == len(traj.times) == 1
@@ -250,23 +273,6 @@ def test_sharp_jacobian_change_rebuilds_the_matrix(a_late):
     assert traj.states[-1, 0] == pytest.approx(exact(traj.times, h), rel=1e-9)
 
 
-@pytest.mark.parametrize("theta_max, rebuilds_after_jump", [(None, True), (0.1, False)])
-def test_rebuild_threshold_is_the_callers(theta_max, rebuilds_after_jump):
-    # after the jump to a_late = 1.5 the stale matrix contracts the
-    # residual by ~0.024 per update: a rebuild under the default 1e-3,
-    # none under 0.1
-    f, jac, jac_times, exact = jump_problem(1.5)
-    h = 0.1
-    kwargs = {} if theta_max is None else {"theta_max": theta_max}
-    traj = integrate(f, jac, np.array([1.0]), 2.0, h, **kwargs)
-    assert traj.completed
-    assert any(t > 1.0 for t in jac_times) == rebuilds_after_jump
-    # the ten steps after the jump each solve their equation to 1e-10, so
-    # together they stay within 1e-9 of the exact product (rel=1e-9 would
-    # ask for 8e-11 at y(2) ~ 0.084)
-    assert traj.states[-1, 0] == pytest.approx(exact(traj.times, h), abs=1e-9)
-
-
 # --- the extrapolated predictor -----------------------------------------------
 
 def polynomial_in_t(coeffs, seen=None):
@@ -331,7 +337,7 @@ def test_predictor_history_fills_and_is_dropped():
         return cubic(t, y)
 
     jac = lambda t, y: np.zeros((1, 1))
-    state = StepState(f, jac, NewtonConfig(), THETA_MAX)
+    state = StepState(f, jac, NewtonConfig())
     y, t, failed = np.zeros(1), 0.0, []
     held, updates, per_step = [], [], []
     for k, h in enumerate([0.1] * 6 + [0.05] * 6 + [0.1] * 8):
@@ -381,7 +387,7 @@ def test_change_of_h_falls_back_to_euler():
     a, b, seen = np.array([1.0]), np.array([2.0]), {}
     f, times = linear_in_t(a, b, seen)
     jac = lambda t, y: np.zeros((1, 1))
-    state, y, t = StepState(f, jac, NewtonConfig(), THETA_MAX), np.zeros(1), 0.0
+    state, y, t = StepState(f, jac, NewtonConfig()), np.zeros(1), 0.0
     per_step = []
     for k, h in enumerate((0.1, 0.1, 0.1, 0.05, 0.05, 0.05)):
         before = len(times)
@@ -443,13 +449,13 @@ def two_day_run(model):
 
 @pytest.mark.parametrize("model, bound", [("ide", 1.7), ("ode", 0.7)])
 def test_extrapolated_predictor_cuts_newton_updates(model, bound, monkeypatch):
-    # 2-day runs at dt = 1/192 under the default rebuild threshold: the
+    # 2-day runs at dt = 1/192 under the rebuild threshold 1e-3: the
     # Euler predictor needed 2.54 (60 cells) and 2.16 (ODE) updates per
     # step, AB2 2.03 and 1.77, the cubic extrapolation with its corrected
     # acceptance 1.54 and 0.54
     from fermsim import integrator, reduced
     from fermsim import simulate as sim
-    monkeypatch.setattr(sim, "THETA_MAX_DENSE", integrator.THETA_MAX)
+    monkeypatch.setattr(integrator, "THETA_MAX", 1e-3)
     module, name = (sim, "rhs_vector") if model == "ide" else (reduced, "ode_rhs_vector")
     calls = count_calls(monkeypatch, module, name)
     steps = two_day_run(model)
@@ -457,8 +463,8 @@ def test_extrapolated_predictor_cuts_newton_updates(model, bound, monkeypatch):
 
 
 def test_dense_march_trades_updates_for_rebuilds(monkeypatch):
-    # the 60-cell run above under THETA_MAX_DENSE: 4 matrix rebuilds at
-    # 1.79 updates per step, where the default threshold takes 18 at 1.54
+    # the 60-cell run above under THETA_MAX = 1e-2: 4 matrix rebuilds at
+    # 1.79 updates per step, where 1e-3 takes 18 at 1.54
     from fermsim import simulate as sim
     rhs_calls = count_calls(monkeypatch, sim, "rhs_vector")
     jac_calls = count_calls(monkeypatch, sim, "jacobian_vector")

@@ -7,9 +7,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fermsim import (ConfigError, DivisionParams, DomainError, KineticParams,
-                     ModelValidityError, TemperatureProfile, compute_lambda,
-                     division_rate, normalize_mass, partition, rate_jacobian,
-                     rates, temperature)
+                     TemperatureProfile, compute_lambda, division_rate,
+                     normalize_mass, partition, rate_jacobian, rates, run_ode,
+                     temperature)
 from fermsim.kinetics import K_E, beta_max, death_phi, death_phi_prime, mu_max
 from fermsim.oracles import check_partition_normalization
 from fermsim.reduced import ode_rhs_vector
@@ -41,17 +41,18 @@ def test_coefficients_at_reference_temperatures(kp):
     assert K_E(kp, 15.0) == pytest.approx(-0.2616 * 15.0 + 38.90)
 
 
-def test_negative_coefficient_rejected(kp):
-    with pytest.raises(ModelValidityError):
-        mu_max(kp, -1.0)
-    with pytest.raises(ModelValidityError):
-        K_E(kp, 1000.0)  # K_E turns negative for large T
-
-
 def test_temperature_range_check(kp):
     kp.check_temperature_range(15.0, 18.0)
-    with pytest.raises(ConfigError):
-        kp.check_temperature_range(15.0, 200.0)
+    with pytest.raises(ConfigError, match=r"^K_E\(200.0\) = -13.42\d* < 0$"):
+        kp.check_temperature_range(15.0, 200.0)  # K_E turns negative for large T
+    # mu_max = 0.1681 T - 3 is negative at 15 degC only
+    cold = dataclasses.replace(kp, mu2=3.0)
+    with pytest.raises(ConfigError, match=r"^mu_max\(15.0\) = -0.478\d* < 0$"):
+        cold.check_temperature_range(15.0, 18.0)
+    # the one march entry without a config checks the pair it is given
+    y0 = np.array([0.5, 0.4, 0.0, 193.0, 0.012])
+    with pytest.raises(ConfigError, match=r"^mu_max\(15.0\)"):
+        run_ode(y0, 1.0, 0.25, cold, TemperatureProfile())
 
 
 # --- reaction rates ---------------------------------------------------------

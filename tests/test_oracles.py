@@ -1,12 +1,13 @@
+import numpy as np
 import pytest
 
+from fermsim import Trajectory
 from fermsim.oracles import (OracleReport, check_division_biomass_balance,
                              check_jacobian, check_kernel_entries,
                              check_kernel_refinement, check_kernel_row_sums,
                              check_lambda, check_mass_scaling,
                              check_partition_normalization,
-                             check_partition_symmetry, quadrature_oracle,
-                             run_all)
+                             check_partition_symmetry, quadrature_oracle)
 
 
 def test_report_pass_flag_matches_bound():
@@ -43,8 +44,15 @@ def test_individual_checks_pass():
         assert report.passed, report.line()
 
 
-def test_run_all_fast():
-    reports = run_all(include_slow=False)
-    assert len(reports) >= 10
-    for report in reports:
-        assert report.passed, report.line()
+def test_incomplete_positivity_march_fails_under_the_same_name(monkeypatch):
+    from fermsim import oracles
+
+    def incomplete(config):
+        trajectory = Trajectory(times=np.zeros(1), states=np.ones((1, config.n_cells + 4)),
+                                records=[], completed=False, failure="step failed")
+        return trajectory, None
+
+    monkeypatch.setattr(oracles, "march", incomplete)
+    report = oracles.check_trajectory_positivity()
+    assert report.name == "trajectory_positivity_neg_fraction"
+    assert not report.passed
