@@ -273,6 +273,25 @@ def test_sharp_jacobian_change_rebuilds_the_matrix(a_late):
     assert traj.states[-1, 0] == pytest.approx(exact(traj.times, h), rel=1e-9)
 
 
+@pytest.mark.parametrize("theta_max, rebuilds_after_jump", [(None, True), (0.1, False)])
+def test_rebuild_threshold_is_the_callers(theta_max, rebuilds_after_jump, monkeypatch):
+    # after the jump to a_late = 1.5 the stale matrix contracts the
+    # residual by ~0.024 per update: a rebuild under the default 1e-2,
+    # none under 0.1; integrator.THETA_MAX is read at call time
+    from fermsim import integrator
+    if theta_max is not None:
+        monkeypatch.setattr(integrator, "THETA_MAX", theta_max)
+    f, jac, jac_times, exact = jump_problem(1.5)
+    h = 0.1
+    traj = integrate(f, jac, np.array([1.0]), 2.0, h)
+    assert traj.completed
+    assert any(t > 1.0 for t in jac_times) == rebuilds_after_jump
+    # the ten steps after the jump each solve their equation to 1e-10, so
+    # together they stay within 1e-9 of the exact product (rel=1e-9 would
+    # ask for 8e-11 at y(2) ~ 0.084)
+    assert traj.states[-1, 0] == pytest.approx(exact(traj.times, h), abs=1e-9)
+
+
 # --- the extrapolated predictor -----------------------------------------------
 
 def polynomial_in_t(coeffs, seen=None):

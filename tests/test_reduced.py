@@ -17,6 +17,13 @@ def test_rhs_signs(kp, profile):
     assert dy[4] < 0.0   # oxygen consumed
 
 
+def test_rhs_accepts_finite_state_whose_sum_overflows(kp, profile):
+    y = np.array([1e308, 0.40, 10.0, 1e308, 0.005])
+    with np.errstate(over="ignore"):
+        assert not np.isfinite(y.sum())
+    ode_rhs_vector(0.0, y, kp, profile)
+
+
 def test_zero_biomass_is_stationary_for_substrates(kp, profile):
     y = np.array([0.0, 0.4, 0.0, 193.0, 0.012])
     dy = ode_rhs_vector(0.0, y, kp, profile)

@@ -18,6 +18,15 @@ def test_rhs_shape(op30, kp, profile):
     assert dy.shape == y.shape
 
 
+def test_guard_passes_finite_state_whose_sum_overflows(op30, kp, profile):
+    y = state_vector(op30)
+    y[0] = y[1] = 1e308
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert not np.isfinite(y.sum())
+        rhs_vector(0.0, y, op30, kp, profile)
+        jacobian_vector(0.0, y, op30, kp, profile)
+
+
 def test_no_mass_enters_or_leaves_through_boundaries(op30, kp, profile):
     # With division and death switched off, pure growth transport cannot
     # create cells: zero inflow at the left edge and zero outflow at the
