@@ -62,6 +62,11 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+#: Built once per process: parse_args fills a new namespace on every call,
+#: so no flag of one call reaches the next.
+_PARSER = build_parser()
+
+
 def _simulate(args) -> int:
     flags = {key: value for key, value in vars(args).items()
              if key not in ("command", "config") and value is not None}
@@ -88,7 +93,7 @@ def _verify() -> int:
 
 def main(argv=None) -> int:
     try:
-        args = build_parser().parse_args(argv)
+        args = _PARSER.parse_args(argv)
         if args.command == "simulate":
             return _simulate(args)
         if args.command == "compare":

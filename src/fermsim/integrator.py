@@ -7,8 +7,9 @@ f(t, y) and J(t, y).  The nonlinear equation per step is
 
 solved to max|g| <= tolerance by simplified Newton (Hairer & Wanner,
 *Solving ODEs II*, IV.8).  The iteration matrix I - (h/2) J is inverted
-with numpy.linalg.solve and the inverse is applied by a matrix-vector
-product, frozen across iterations and across steps.  It is rebuilt at the
+with numpy.linalg.solve, and the inverse M is applied as M.dot(g): the
+same gemv as M @ g, bit for bit, without the matmul ufunc's dispatch.
+M is frozen across iterations and across steps.  It is rebuilt at the
 current iterate at the first step, when h changes, and whenever one
 iteration shrinks max|g| by less than the factor THETA_MAX = 1e-2.
 RADAU5 uses 1e-3 for small systems and Hairer & Wanner raise it (to
@@ -22,12 +23,16 @@ from y_n + (h/2)(5 f_n - 6 f_{n-1} + 4 f_{n-2} - f_{n-3}), the trapezoid
 rule with f(t_{n+1}) extrapolated by the cubic through the last four
 accepted values of f.  While that history fills (first step, after a
 change of h, after a step that restarted) it uses the values it has:
-explicit Euler, then Adams-Bashforth 2, then the quadratic.  The
-extrapolation alone is unstable on stiff modes (on a real mode its root
-leaves the unit disc at h*lambda ~ -0.25 and is -2.9 at the division
-modes' h*lambda ~ -1.04), so a step never ends at it: a predictor that
-already meets the tolerance is corrected once by the frozen inverse M,
-y -= M g, without a new f call (Shampine 1980), and f there is carried
+explicit Euler, then Adams-Bashforth 2, then the quadratic.  The values
+sit in a ring of four rows: an accepted step writes its f over the
+oldest row and moves the head there, and the predictor is one product
+of the ring with a precomputed weight row per (values held, head),
+zero on rows not yet filled or dropped.  The extrapolation alone is
+unstable on stiff modes (on a real mode its root leaves the unit disc
+at h*lambda ~ -0.25 and is -2.9 at the division modes' h*lambda ~
+-1.04), so a step never ends at it: a predictor that already meets the
+tolerance is corrected once by the frozen inverse M, y -= M g, without
+a new f call (Shampine 1980), and f there is carried
 as f(y~) - (2/h)(M g - g), exact for f linear with the matrix's J since
 (I - (h/2) J) M = I.  That step records 0 updates; the correction is
 skipped only while no matrix has been built.  The stepper copies what f
@@ -69,11 +74,24 @@ _STEP_ERRORS = (NumericsError, DomainError, ArithmeticError, np.linalg.LinAlgErr
 
 _max = np.maximum.reduce
 
-#: Predictor weights on f_n, f_{n-1}, ... by the number of values held:
-#: y_{n+1} ~ y_n + (h/2) (weights @ history) is the trapezoid rule with
-#: f(t_{n+1}) extrapolated by the polynomial through those values.
-_PREDICTOR = tuple(np.array(row) for row in
-                   ((2.0,), (3.0, -1.0), (4.0, -3.0, 1.0), (5.0, -6.0, 4.0, -1.0)))
+#: Rows of f values the predictor extrapolates through.
+_RING = 4
+
+
+def _ring_row(coeffs, head):
+    """Weights ``coeffs`` on f_n, f_{n-1}, ... placed on the ring's rows
+    when f_n is row ``head``; every other row gets weight 0."""
+    row = np.zeros(_RING)
+    row[(head - np.arange(len(coeffs))) % _RING] = coeffs
+    return row
+
+
+#: _WEIGHTS[filled - 1][head] weights the ring's rows for the predictor
+#: y_{n+1} ~ y_n + (h/2) (weights . history): the trapezoid rule with
+#: f(t_{n+1}) extrapolated by the polynomial through the ``filled`` newest
+#: values of f (explicit Euler, AB2, the quadratic, the cubic).
+_WEIGHTS = tuple(tuple(_ring_row(coeffs, head) for head in range(_RING))
+                 for coeffs in ((2.0,), (3.0, -1.0), (4.0, -3.0, 1.0), (5.0, -6.0, 4.0, -1.0)))
 
 
 @dataclass(frozen=True)
@@ -109,10 +127,13 @@ class StepState:
     the next.
 
     ``h`` is the size of the last step; ``inverse`` is the frozen inverse
-    of I - (h/2) J; ``history`` holds f at the last accepted iterates,
-    newest first (row 0 is the next step's f(t_n, y_n)), and ``filled``
-    counts its valid rows, at most 4: 0 before the first step, 1 after a
-    step that restarted, cut to 1 when h changes.
+    of I - (h/2) J; ``history`` is a ring of 4 rows holding f at the last
+    accepted iterates: row ``head`` is the next step's f(t_n, y_n), row
+    head - 1 (mod 4) the f before it, and so on.  ``filled`` counts its
+    valid rows, at most 4: 0 before the first step, 1 after a step that
+    restarted, cut to 1 when h changes.  Rows dropped by a restart or a
+    change of h stay in the ring with predictor weight 0 until they are
+    overwritten.
     """
 
     def __init__(self, f, jac, cfg: NewtonConfig):
@@ -120,6 +141,7 @@ class StepState:
         self.inverse = None
         self.h = None
         self.history = None
+        self.head = 0
         self.filled = 0
 
     def rebuild(self, t: float, y: np.ndarray, h: float) -> None:
@@ -127,6 +149,20 @@ class StepState:
         A = np.multiply(-0.5 * h, self.jac(t, y))  # a new array, not what jac returned
         A.flat[::len(A) + 1] += 1.0
         self.inverse = np.linalg.solve(A, np.identity(len(y)))
+
+
+def _non_finite(y: np.ndarray, f1: np.ndarray) -> str:
+    """Which of y and f(y) is non-finite, y first, and up to 8 of its indices."""
+    for name, values in (("y", y), ("f(y)", f1)):
+        bad = np.flatnonzero(~np.isfinite(values))
+        if len(bad):
+            more = f" and {len(bad) - 8} more" if len(bad) > 8 else ""
+            return f"{name} is non-finite at {bad[:8].tolist()}{more}"
+    return "y and f(y) are finite"
+
+
+def _failed(message: str, t1: float, updates: int, res: float) -> StepFailure:
+    return StepFailure(message, record=StepRecord(t1, updates, res, False))
 
 
 def trapezoid_step(y_n: np.ndarray, t_n: float, t1: float, h: float, state: StepState):
@@ -137,27 +173,26 @@ def trapezoid_step(y_n: np.ndarray, t_n: float, t1: float, h: float, state: Step
     accepted ``y_n``; it is updated in place.
     """
     f, cfg = state.f, state.cfg
+    tolerance, max_iterations = cfg.tolerance, cfg.max_iterations
     if state.h != h:
         state.h, state.inverse, state.filled = h, None, min(state.filled, 1)
     updates, res, res_prev = 0, math.inf, None
     half_h = 0.5 * h
-
-    def failed(message):
-        return StepFailure(message, record=StepRecord(t1, updates, res, False))
-
     try:
         if not state.filled:
-            state.history = np.empty((len(_PREDICTOR), len(y_n)))
+            state.history = np.zeros((_RING, len(y_n)))
             state.history[0] = f(t_n, y_n)
-            state.filled = 1
-        history, filled = state.history, state.filled
-        f_n = history[0]
-        y = _PREDICTOR[filled - 1] @ history[:filled]
+            state.head, state.filled = 0, 1
+        history, head, filled = state.history, state.head, state.filled
+        f_n = history[head]
+        y = _WEIGHTS[filled - 1][head].dot(history)
         y *= half_h
         y += y_n
     except _STEP_ERRORS as exc:
-        raise failed(f"step failed at t={t1}: {type(exc).__name__}: {exc}") from exc
-    stale = state.inverse is not None
+        raise _failed(f"step failed at t={t1}: {type(exc).__name__}: {exc}",
+                      t1, updates, res) from exc
+    inverse = state.inverse
+    stale = inverse is not None
     restarted = False
     while True:
         try:
@@ -169,41 +204,44 @@ def trapezoid_step(y_n: np.ndarray, t_n: float, t1: float, h: float, state: Step
             g -= half_h_f
             # NaN if g holds one, as max would give
             res = _max(np.abs(g, out=half_h_f))
-            if res <= cfg.tolerance:
-                kept = 0 if restarted else min(filled, len(history) - 1)
-                history[1:kept + 1] = history[:kept]
-                history[0] = f1
-                state.filled = kept + 1
-                if updates == 0 and state.inverse is not None:
+            if res <= tolerance:
+                head = (head + 1) % _RING  # the oldest row, or one no weight reads
+                state.head, state.filled = head, 1 if restarted else min(filled + 1, _RING)
+                if updates == 0 and inverse is not None:
                     # correct the predictor once: y -= M g, f += (2/h)(g - M g)
-                    correction = state.inverse @ g
+                    correction = inverse.dot(g)
                     y -= correction
                     g -= correction
                     g /= half_h
-                    history[0] += g
+                    np.add(f1, g, out=history[head])
+                else:
+                    history[head] = f1
                 return y, StepRecord(t1, updates, res, True)
-            if updates >= cfg.max_iterations:
-                raise failed(f"Newton failed at t={t1}: residual {res:.3e} "
-                             f"after {updates} iterations")
+            if updates >= max_iterations:
+                raise _failed(f"Newton failed at t={t1}: residual {res:.3e} "
+                              f"after {updates} iterations", t1, updates, res)
             if not math.isfinite(res):
-                raise NumericsError(f"non-finite Newton residual after {updates} iterations")
+                raise NumericsError(f"non-finite Newton residual after {updates} "
+                                    f"iterations: {_non_finite(y, f1)}")
             if res_prev is not None and res > THETA_MAX * res_prev:
                 if stale and res >= res_prev:
                     raise NumericsError(f"Newton iteration diverged: residual {res:.3e}")
+                # let go of the old inverse, so two are never held at once
+                inverse, stale = None, False
+            if inverse is None:
                 state.rebuild(t1, y, h)
-                stale = False
-            elif state.inverse is None:
-                state.rebuild(t1, y, h)
+                inverse = state.inverse
         except _STEP_ERRORS as exc:
             if restarted:
                 what = ("singular Newton matrix" if isinstance(exc, np.linalg.LinAlgError)
                         else "step failed")
-                raise failed(f"{what} at t={t1}: {type(exc).__name__}: {exc}") from exc
+                raise _failed(f"{what} at t={t1}: {type(exc).__name__}: {exc}",
+                              t1, updates, res) from exc
             restarted, stale, res_prev = True, False, None
-            state.inverse = None
+            state.inverse = inverse = None
             y = y_n.copy()
             continue
-        y -= state.inverse @ g  # y is this step's own array
+        y -= inverse.dot(g)  # y is this step's own array
         res_prev = res
         updates += 1
 

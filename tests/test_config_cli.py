@@ -214,6 +214,19 @@ def test_cli_flags_override_config(tmp_path):
     assert data[-1, 0] == pytest.approx(0.5)
 
 
+def test_flags_of_one_call_do_not_reach_the_next(tmp_path):
+    # main parses every call with one parser built at import
+    cfg = write(tmp_path, "")
+    finals = []
+    for name, flags in (("short", ["--t-final", "1"]), ("default", [])):
+        out = tmp_path / name
+        assert main(["simulate", "--config", cfg, "--model", "ode", "--dt", "0.0625",
+                     *flags, "--output-dir", str(out)]) == 0
+        _, data = read_csv(out / "trajectory.csv")
+        finals.append(data[-1, 0])
+    assert finals == [1.0, default_config().t_final]
+
+
 def test_config_error_exit_code(tmp_path, capsys):
     cfg = write(tmp_path, "no_such_key = 1\n")
     assert main(["simulate", "--config", cfg]) == 1

@@ -1,3 +1,5 @@
+import weakref
+
 import numpy as np
 import pytest
 
@@ -169,7 +171,9 @@ def test_non_finite_initial_entry_fails_the_first_step(op30, kp, profile, model,
     with np.errstate(all="ignore"):  # as simulate.march runs it
         traj = integrate(f, jac, y0, 1.0, 1.0 / 192.0)
     assert not traj.completed
-    assert "non-finite" in traj.failure
+    # the restart iterates from y0 itself, so y names exactly the entry
+    assert f"non-finite Newton residual after 0 iterations: y is non-finite at [{index}]" \
+        in traj.failure
     assert len(traj.states) == len(traj.times) == 1
 
 
@@ -271,6 +275,28 @@ def test_sharp_jacobian_change_rebuilds_the_matrix(a_late):
     assert all(r.converged for r in traj.records)
     assert any(t > 1.0 for t in jac_times)
     assert traj.states[-1, 0] == pytest.approx(exact(traj.times, h), rel=1e-9)
+
+
+def test_a_rebuild_holds_one_inverse_at_a_time(monkeypatch):
+    # when J is evaluated for a new matrix, no earlier inverse is still
+    # referenced: a second one held would be 0.7 MB at 300 cells
+    inverses, solve = [], np.linalg.solve
+
+    def recorded(*args):
+        inverse = solve(*args)
+        inverses.append(weakref.ref(inverse))
+        return inverse
+
+    monkeypatch.setattr(np.linalg, "solve", recorded)
+    f, jac, jac_times, _ = jump_problem(1.5)
+
+    def checked(t, y):
+        assert all(ref() is None for ref in inverses)
+        return jac(t, y)
+
+    traj = integrate(f, checked, np.array([1.0]), 2.0, 0.1)
+    # the first matrix, then the rebuild at a slowly contracting carried one
+    assert traj.completed and len(inverses) == 2 and jac_times[1] > 1.0
 
 
 @pytest.mark.parametrize("theta_max, rebuilds_after_jump", [(None, True), (0.1, False)])
@@ -441,6 +467,37 @@ def test_restarted_step_is_followed_by_euler():
     assert traj.times[5] == fail_at
     t5, y5 = traj.times[5], traj.states[5]
     assert seen[traj.times[6]] == pytest.approx(euler(y5, t5, h, a, b), rel=1e-15)
+
+
+@pytest.mark.parametrize("drop", ["change of h", "restart"])
+def test_dropped_history_gets_no_predictor_weight(drop):
+    # f is 1e4 before t = 0.35 and a + b t (~1) after.  The f values held
+    # before the drop stay in the history's rows, and any weight on one of
+    # them would move the predictor by ~(h/2) 1e4; it must be Euler on the
+    # first step after the drop and AB2 on the second.
+    a, b, seen = np.array([1.0]), np.array([2.0]), {}
+    g, times = linear_in_t(a, b, seen)
+    fail_at = 0.5
+
+    def f(t, y):
+        if drop == "restart" and t == fail_at and fail_at not in times:
+            times.append(t)
+            raise DomainError("forced restart")
+        return np.full(1, 1e4) if t < 0.35 else g(t, y)
+
+    steps = [0.1] * 4 + [0.05] * 3 if drop == "change of h" else [0.1] * 7
+    first = 4 if drop == "change of h" else 5
+    state, y, t = StepState(f, lambda t, y: np.zeros((1, 1)), NewtonConfig()), np.zeros(1), 0.0
+    for k, h in enumerate(steps):
+        y_n, (y, record) = y, trapezoid_step(y, t, t + h, h, state)
+        assert record.converged
+        if k == first:
+            assert seen[record.t] == pytest.approx(euler(y_n, t, h, a, b), rel=1e-15)
+        if k == first + 1:
+            ab2 = y_n + 0.5 * h * (3.0 * (a + b * t) - (a + b * (t - h)))
+            assert seen[record.t] == pytest.approx(ab2, rel=1e-15)
+        t = record.t
+    assert abs(y[0]) > 1e3  # the march did go through the large values
 
 
 def count_calls(monkeypatch, module, name):
