@@ -6,17 +6,34 @@ f(t, y) and J(t, y).  The nonlinear equation per step is
     g(y) = y - y_n - h/2 * (f(t_{n+1}, y) + f(t_n, y_n)) = 0
 
 solved to max|g| <= tolerance by simplified Newton (Hairer & Wanner,
-*Solving ODEs II*, IV.8).  The iteration matrix I - (h/2) J is inverted
-with numpy.linalg.solve, and the inverse M is applied as M.dot(g): the
-same gemv as M @ g, bit for bit, without the matmul ufunc's dispatch.
-M is frozen across iterations and across steps.  It is rebuilt at the
-current iterate at the first step, when h changes, and whenever one
-iteration shrinks max|g| by less than the factor THETA_MAX = 1e-2.
+*Solving ODEs II*, IV.8).  The iteration matrix N = I - (h/2) J is
+inverted with numpy.linalg.solve, and the inverse M is applied as
+M.dot(g): the same gemv as M @ g, bit for bit, without the matmul ufunc's
+dispatch.  M is frozen across iterations and across steps.  It is rebuilt
+at the current iterate at the first step, when h changes, and whenever
+one iteration shrinks max|g| by less than the factor THETA_MAX = 1e-2.
 RADAU5 uses 1e-3 for small systems and Hairer & Wanner raise it (to
 0.1, say) when a rebuild is costly; 1e-2 serves both models: the
-population balance, whose rebuild is a dense O(C^3) inversion, and the
+population balance, whose rebuild is an O(C^3) inversion, and the
 5-state reduced model, where it trades a few rebuilds for a few more
 updates.  f at the accepted iterate is the next step's f(t_n, y_n).
+
+With ``lead`` = L = 0 the rebuild is one solve of N against the
+identity.  With L > 0 it is block elimination through the Schur
+complement (Golub & Van Loan, *Matrix Computations*, 3.2), for a march
+whose first L unknowns couple to the rest through few rows: the
+population balance passes the index of its first dividing cell, so
+N11 = N[:L, :L] is the lower bidiagonal transport and loss of the cells
+that never divide, and N21 = N[L:, :L] is zero but for the transport
+into cell L and the 4 substrate rows.  One solve of N11 against [N12 | I] gives W = N11^-1 N12
+and N11^-1; the Schur complement S = N22 - N21 W changes only in N21's
+nonzero rows; a second solve inverts S, and
+
+    M = [[N11^-1 + W R, -W S^-1], [-R, S^-1]],   R = S^-1 N21 N11^-1.
+
+That is the same M up to round-off.  The dense inversion shrinks from n
+to n - L unknowns, at the cost of O(L n^2) for the N11 solve and the
+block products.
 
 Extrapolated predictor, never accepted uncorrected: each step starts
 from y_n + (h/2)(5 f_n - 6 f_{n-1} + 4 f_{n-2} - f_{n-3}), the trapezoid
@@ -133,11 +150,12 @@ class StepState:
     valid rows, at most 4: 0 before the first step, 1 after a step that
     restarted, cut to 1 when h changes.  Rows dropped by a restart or a
     change of h stay in the ring with predictor weight 0 until they are
-    overwritten.
+    overwritten.  ``lead`` is the L of the block rebuild in the module
+    docstring; 0 inverts N in one solve.
     """
 
-    def __init__(self, f, jac, cfg: NewtonConfig):
-        self.f, self.jac, self.cfg = f, jac, cfg
+    def __init__(self, f, jac, cfg: NewtonConfig, lead: int = 0):
+        self.f, self.jac, self.cfg, self.lead = f, jac, cfg, lead
         self.inverse = None
         self.h = None
         self.history = None
@@ -145,10 +163,31 @@ class StepState:
         self.filled = 0
 
     def rebuild(self, t: float, y: np.ndarray, h: float) -> None:
+        """Set ``inverse`` to the inverse of N = I - (h/2) J(t, y)."""
         self.inverse = None  # drop the old inverse before building the new one
-        A = np.multiply(-0.5 * h, self.jac(t, y))  # a new array, not what jac returned
-        A.flat[::len(A) + 1] += 1.0
-        self.inverse = np.linalg.solve(A, np.identity(len(y)))
+        N = np.multiply(-0.5 * h, self.jac(t, y))  # a new array, not what jac returned
+        n, L = len(N), self.lead
+        N.flat[::n + 1] += 1.0
+        if not L:
+            self.inverse = np.linalg.solve(N, np.identity(n))
+            return
+        rhs = np.zeros((L, n))                       # [N12 | I]
+        rhs[:, :n - L] = N[:L, L:]
+        np.fill_diagonal(rhs[:, n - L:], 1.0)
+        X = np.linalg.solve(N[:L, :L], rhs)
+        W, N11_inv = X[:, :n - L], X[:, n - L:]
+        rows = np.flatnonzero(N[L:, :L].any(axis=1))
+        N21 = N[L:, :L][rows]
+        S = N[L:, L:]                                # a view: N is this call's own array
+        S[rows] -= N21.dot(W)
+        S_inv = np.linalg.solve(S, np.identity(n - L))
+        R = S_inv[:, rows].dot(N21.dot(N11_inv))
+        M = np.empty((n, n))
+        np.add(N11_inv, W.dot(R), out=M[:L, :L])
+        np.negative(W.dot(S_inv), out=M[:L, L:])
+        np.negative(R, out=M[L:, :L])
+        M[L:, L:] = S_inv
+        self.inverse = M
 
 
 def _non_finite(y: np.ndarray, f1: np.ndarray) -> str:
@@ -272,11 +311,12 @@ def step_count(t_final: float, h: float) -> int:
 
 
 def integrate(f, jac, y0: np.ndarray, t_final: float, h: float,
-              cfg: NewtonConfig = NewtonConfig()) -> Trajectory:
+              cfg: NewtonConfig = NewtonConfig(), lead: int = 0) -> Trajectory:
     """Fixed-step march over [0, t_final]; aborts cleanly on step failure.
 
     Stage times come from the same ``times`` array the trajectory holds,
-    so the last stage is exactly ``t_final``.
+    so the last stage is exactly ``t_final``.  ``lead`` is the
+    StepState's block size for the rebuild (0: one dense solve).
     """
     y0 = np.asarray(y0, dtype=float)
     n_steps = step_count(t_final, h)
@@ -287,7 +327,7 @@ def integrate(f, jac, y0: np.ndarray, t_final: float, h: float,
     times[-1] = t_final if n_steps else 0.0
     stage_times = times.tolist()
     records = []
-    state = StepState(f, jac, cfg)
+    state = StepState(f, jac, cfg, lead)
     y = y0
     for k in range(n_steps):
         try:

@@ -6,8 +6,13 @@ trapezoidal rule (tensor-product in the 2D case) on the nodes of
 ``_cell_nodes_weights``.
 
 The march (:mod:`fermsim.system`) reads three arrays built here from them
-and the grid: A = (2 K - diag gamma_int) / dm, the upwind transport weights
-edges[1:C] / dm and the interior moment weights (the centers, 0 at both ends).
+and the grid: the division operator A = (2 K - diag gamma_int) / dm, the
+upwind transport weights edges[1:C] / dm and the interior moment weights
+(the centers, 0 at both ends).  Cells whose trapezoid nodes all lie at or
+below m_t never divide, so A's columns before ``first``, the first cell
+with a nonzero Gamma node, are exact zeros.  Only A's dividing columns
+A[:, first:] are stored, as the contiguous ``block``; the full A is a
+property built from it for tests and oracles.
 
 The assembly never evaluates p node pair by node pair; that is what
 :func:`fermsim.kinetics.partition` does, and the oracles and tests use it
@@ -58,11 +63,19 @@ MAX_QUAD = 1000
 class DiscreteOperator:
     K: np.ndarray = field(repr=False)           # (C, C), mass/day
     gamma_int: np.ndarray = field(repr=False)   # (C,), mass/day
-    A: np.ndarray = field(repr=False)           # (C, C), 1/day
+    block: np.ndarray = field(repr=False)       # A[:, first:], (C, C - first), 1/day
     transport: np.ndarray = field(repr=False)   # (C-1,), 1/mass
     moment_weights: np.ndarray = field(repr=False)  # (C,), mass
     grid: MassGrid
     n_quad: int
+    first: int                                  # first dividing cell, C if none
+
+    @property
+    def A(self) -> np.ndarray:
+        """The full (C, C) division operator: zeros, then ``block``."""
+        A = np.zeros((self.grid.n_cells, self.grid.n_cells))
+        A[:, self.first:] = self.block
+        return A
 
 
 def _cell_nodes_weights(grid: MassGrid, n_quad: int):
@@ -117,12 +130,15 @@ def assemble_operator(grid: MassGrid, d: DivisionParams, n_quad: int) -> Discret
              + lg[1:, 0] * (below[:-1, q] + c1))    # K[i, i + 1]
 
     K = np.zeros((C, C))
-    dividing = np.flatnonzero(gamma_nodes[2:].any(axis=1)) + 2
-    for j in dividing.tolist():                      # rows i = 0 .. j-2, k = j .. 2
+    dividing = np.flatnonzero(gamma_nodes.any(axis=1))
+    first = int(dividing[0]) if len(dividing) else C
+    for j in dividing[dividing >= 2].tolist():       # rows i = 0 .. j-2, k = j .. 2
         K[:j - 1, j] = Tr[C - 1 - j:C - 2] @ lg[j] + e1[:j - 1] * (lam * gamma_int[j])
     np.fill_diagonal(K, diag)
     np.fill_diagonal(K[:, 1:], upper)
-    A = np.multiply(2.0 / grid.dm, K)
-    np.fill_diagonal(A, (2.0 * diag - gamma_int) / grid.dm)
-    return DiscreteOperator(K=K, gamma_int=gamma_int, A=A, transport=grid.edges[1:C] / grid.dm,
-                            moment_weights=np.pad(grid.centers[1:-1], 1), grid=grid, n_quad=n_quad)
+    block = np.multiply(2.0 / dm, K[:, first:])      # A[:, first:], a new contiguous array
+    np.fill_diagonal(block[first:], (2.0 * diag[first:] - gamma_int[first:]) / dm)
+    return DiscreteOperator(K=K, gamma_int=gamma_int, block=block,
+                            transport=grid.edges[1:C] / dm,
+                            moment_weights=np.pad(grid.centers[1:-1], 1), grid=grid,
+                            n_quad=n_quad, first=first)

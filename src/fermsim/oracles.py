@@ -16,6 +16,7 @@ import numpy as np
 
 from .config import default_config
 from .grid import build_grid
+from .integrator import NewtonConfig, StepState
 from .kinetics import (DivisionParams, KineticParams, TemperatureProfile,
                        compute_lambda, division_rate, normalize_mass, partition)
 from .operator import assemble_operator
@@ -244,6 +245,31 @@ def check_jacobian() -> OracleReport:
     return OracleReport("jacobian_vs_fd_rel_dev", worst, 1e-5)
 
 
+def check_newton_inverse() -> OracleReport:
+    """Block-eliminated inverse of N = I - (h/2) J vs one dense solve at 3 states.
+
+    The march rebuilds its Newton inverse by block elimination over the
+    cells that never divide; the reference solves N against the identity.
+    """
+    grid = build_grid(0.001, 0.999, 30)
+    op = assemble_operator(grid, DivisionParams(), 30)
+    kp = KineticParams()
+    profile = TemperatureProfile()
+    h = default_config().dt
+    rng = np.random.default_rng(11)
+    worst = 0.0
+    for _ in range(3):
+        y = random_admissible_state(rng, grid.n_cells)
+        t = rng.uniform(0.0, 20.0)
+        J = jacobian_vector(t, y, op, kp, profile)
+        identity = np.identity(len(y))
+        dense = np.linalg.solve(identity - 0.5 * h * J, identity)
+        state = StepState(None, lambda tt, yy: J, NewtonConfig(), lead=op.first)
+        state.rebuild(t, y, h)
+        worst = max(worst, float(np.max(np.abs(state.inverse - dense)) / np.max(np.abs(dense))))
+    return OracleReport("newton_block_inverse_vs_dense_rel_dev", worst, 1e-12)
+
+
 def check_trajectory_positivity() -> OracleReport:
     """The default 20-day run: number density stays nonnegative up to round-off.
 
@@ -267,5 +293,6 @@ def run_all() -> list:
     reports.append(check_kernel_refinement())
     reports.append(check_kernel_entries())
     reports.append(check_jacobian())
+    reports.append(check_newton_inverse())
     reports.append(check_trajectory_positivity())
     return reports

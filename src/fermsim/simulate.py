@@ -149,7 +149,7 @@ def march(config: SimulationConfig):
         trajectory = integrate(lambda t, y: rhs_vector(t, y, op, kp, profile),
                                lambda t, y: jacobian_vector(t, y, op, kp, profile),
                                np.concatenate([w0, substrates]), config.t_final, config.dt,
-                               config.newton)
+                               config.newton, lead=op.first)
     return trajectory, grid
 
 

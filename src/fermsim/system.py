@@ -9,10 +9,15 @@ Given the growth velocity v and the death rate phi, the density rhs is
 linear in w: w' = A w - v D w - (phi + kd) w, with A = (2 K - diag
 gamma_int) / dm and D the first-order upwind transport at the edge
 velocity, with zero end fluxes; both come from
-:func:`fermsim.operator.assemble_operator`.  The substrate rates are the
-per-biomass rates b of :func:`fermsim.kinetics.rates` times the first
-moment over interior cells i = 1 .. C-2 only, so they match the reduced
-model's b*X.
+:func:`fermsim.operator.assemble_operator`.  A's columns before
+``op.first`` are exact zeros (those cells never divide), so the rhs
+multiplies only the dividing block ``op.block`` by w[first:], and the
+Jacobian writes that block and zeros before it.  The rhs applies the
+transport as one flux array, flux_i = v transport_i w_i across the edge
+between cells i and i+1, taken from cell i and added to cell i+1.  The
+substrate rates are the per-biomass rates b of
+:func:`fermsim.kinetics.rates` times the first moment over interior cells
+i = 1 .. C-2 only, so they match the reduced model's b*X.
 """
 
 from __future__ import annotations
@@ -49,8 +54,11 @@ def rhs_vector(t: float, y: np.ndarray, op: DiscreteOperator,
     v, b = rates(kp, N, E, S, O, temperature(profile, t))
 
     out = np.empty(C + 4)
-    wdot = np.dot(op.A, w, out=out[:C])
-    wdot -= v * _transport(op, w)
+    wdot = np.dot(op.block, w[op.first:], out=out[:C])
+    flux = op.transport * w[:-1]
+    flux *= v
+    wdot[:-1] -= flux
+    wdot[1:] += flux
     wdot -= (death_phi(kp, E) + kp.kd) * w
 
     moment = op.grid.dm * float(np.dot(op.moment_weights, w))
@@ -71,7 +79,8 @@ def jacobian_vector(t: float, y: np.ndarray, op: DiscreteOperator,
     J = np.empty((C + 4, C + 4))  # every entry is written below
 
     # densities block A - v D - (phi + kd) I, and the velocity column -D w dv
-    J[:C, :C] = op.A
+    J[:C, :op.first] = 0.0
+    J[:C, op.first:C] = op.block
     diag = np.arange(C)
     J[diag, diag] -= death_phi(kp, E) + kp.kd
     J[diag[:-1], diag[:-1]] -= v * op.transport   # outflow, not in last cell

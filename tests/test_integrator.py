@@ -547,3 +547,118 @@ def test_dense_march_trades_updates_for_rebuilds(monkeypatch):
     steps = two_day_run("ide")
     assert jac_calls[0] <= 8
     assert (rhs_calls[0] - 1 - steps) / steps <= 2.5
+
+
+# --- the block-eliminated rebuild ---------------------------------------------
+
+@pytest.fixture(scope="module", params=[30, 150, 300])
+def ten_day_march(request):
+    """(config, operator, trajectory) of the first 10 days of the default
+    IDE march, its temperature ramp at days 9.5-10.5, on ``request.param``
+    cells."""
+    from fermsim import assemble_operator, load_config
+    from fermsim import simulate as sim
+    config = load_config(None, {"grid.n_cells": str(request.param), "t_final": "10",
+                                "temperature.t_ramp_start": "9.5",
+                                "temperature.t_ramp_end": "10.5"})
+    trajectory, grid = sim.march(config)
+    assert trajectory.completed
+    return config, assemble_operator(grid, config.division, config.n_quad), trajectory
+
+
+@pytest.mark.parametrize("day", [0.0, 5.0, 10.0])  # start, day 5, the temperature ramp
+def test_block_inverse_is_the_dense_inverse(ten_day_march, day):
+    config, op, trajectory = ten_day_march
+    k, h = int(round(day / config.dt)), config.dt
+    t, y = trajectory.times[k], trajectory.states[k]
+    if day == 10.0:
+        assert config.profile.t_ramp_start < t < config.profile.t_ramp_end
+    jac = lambda t, y: jacobian_vector(t, y, op, config.kinetic, config.profile)
+    N = np.multiply(-0.5 * h, jac(t, y))
+    N.flat[::len(N) + 1] += 1.0
+    dense = np.linalg.solve(N, np.identity(len(N)))
+    assert 0 < op.first < op.grid.n_cells
+    inverses = {}
+    for lead in (op.first, 0):
+        state = StepState(None, jac, NewtonConfig(), lead)
+        state.rebuild(t, y, h)
+        inverses[lead] = state.inverse
+    assert np.max(np.abs(inverses[op.first] - dense)) <= 1e-13 * np.max(np.abs(dense))
+    assert np.array_equal(inverses[0], dense)
+
+
+def test_a_block_rebuild_holds_one_inverse_at_a_time(monkeypatch):
+    # the IDE march rebuilds by block elimination; as on the dense path,
+    # no earlier inverse is referenced when J is evaluated for a new one
+    from fermsim import integrator
+    from fermsim import simulate as sim
+    inverses, rebuild, jacobian = [], integrator.StepState.rebuild, sim.jacobian_vector
+
+    def recorded(state, *args):
+        rebuild(state, *args)
+        assert state.lead > 0
+        inverses.append(weakref.ref(state.inverse))
+
+    def checked(*args):
+        assert all(ref() is None for ref in inverses)
+        return jacobian(*args)
+
+    monkeypatch.setattr(integrator.StepState, "rebuild", recorded)
+    monkeypatch.setattr(sim, "jacobian_vector", checked)
+    two_day_run("ide")
+    assert len(inverses) >= 2
+
+
+def block_and_dense_marches(monkeypatch, overrides):
+    """``sim.march`` of the default config under ``overrides``, then the
+    same march with ``lead`` = 0; returns both trajectories and the lead
+    the first march passed."""
+    from fermsim import load_config
+    from fermsim import simulate as sim
+    leads = []
+
+    def dense(*args, lead):
+        leads.append(lead)
+        return integrate(*args, lead=0)
+
+    config = load_config(None, overrides)
+    block, _ = sim.march(config)
+    monkeypatch.setattr(sim, "integrate", dense)
+    dense_march, _ = sim.march(config)
+    assert block.completed and dense_march.completed
+    return block.states, dense_march.states, leads[0]
+
+
+def assert_columns_agree(states, reference, bound=1e-12):
+    """Each column of ``states`` within ``bound`` of ``reference``'s run maximum."""
+    assert states.shape == reference.shape
+    deviation = np.max(np.abs(states - reference), axis=0)
+    assert np.all(deviation <= bound * np.max(np.abs(reference), axis=0))
+
+
+@pytest.mark.parametrize("grid_key, value, lead", [
+    ("grid.m_max", "0.3", 150),   # no cell divides: the block is 150 x 0
+    ("grid.m_min", "0.4", 0),     # every cell divides: the dense rebuild
+])
+def test_marches_without_or_with_only_dividing_cells(monkeypatch, grid_key, value, lead):
+    block, dense, passed = block_and_dense_marches(monkeypatch, {grid_key: value, "t_final": "2"})
+    assert passed == lead
+    assert_columns_agree(block, dense)
+
+
+@pytest.mark.parametrize("kind, N0, S0, O0", [
+    ("constant", 0.30, 188.0, 0.008),
+    ("beta", 0.45, 198.0, 0.016),
+    ("small_to_medium", 0.34, 195.0, 0.010),
+    ("two_normal_peak", 0.41, 190.0, 0.015),
+])
+def test_fine_grid_block_march_matches_dense(monkeypatch, kind, N0, S0, O0):
+    # 1-day, 300-cell marches with inputs in the benchmark's ide_fine
+    # ranges; the densities stay within its round-off allowance of 0
+    block, dense, lead = block_and_dense_marches(monkeypatch, {
+        "grid.n_cells": "300", "t_final": "1", "distribution.kind": kind,
+        "initial.N0": repr(N0), "initial.S0": repr(S0), "initial.O0": repr(O0)})
+    assert 0 < lead < 300
+    assert_columns_agree(block, dense)
+    w = block[:, :300]
+    assert w.min() >= -1e-9 * w.max()

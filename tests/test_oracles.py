@@ -6,6 +6,7 @@ from fermsim.oracles import (OracleReport, check_division_biomass_balance,
                              check_jacobian, check_kernel_entries,
                              check_kernel_refinement, check_kernel_row_sums,
                              check_lambda, check_mass_scaling,
+                             check_newton_inverse,
                              check_partition_normalization,
                              check_partition_symmetry, quadrature_oracle)
 
@@ -37,7 +38,7 @@ def test_individual_checks_pass():
     reports = [check_lambda(), check_partition_symmetry(),
                check_kernel_row_sums(), check_kernel_refinement(),
                check_kernel_entries(), check_division_biomass_balance(),
-               check_jacobian()]
+               check_jacobian(), check_newton_inverse()]
     reports += check_mass_scaling()
     reports += check_partition_normalization()
     for report in reports:

@@ -122,3 +122,34 @@ def test_fd_step_sweep_has_v_shape(op30, kp, profile):
         devs.append(jacobian_deviation(analytic, approx))
     assert devs[1] < devs[0]
     assert devs[1] < devs[2]
+
+
+@pytest.mark.parametrize("m_min, m_max, first", [
+    (0.001, 0.999, 11),   # the default mass range
+    (0.001, 0.3, 30),     # below m_t: no cell divides, the block is 30 x 0
+    (0.4, 0.999, 0),      # above m_t: every cell divides
+])
+def test_rhs_and_jacobian_match_the_full_operator(dp, kp, profile, m_min, m_max, first):
+    # the rhs multiplies only A's dividing block; rebuild A w - v D w -
+    # (phi + kd) w and its Jacobian from the full A and an explicit D
+    from fermsim import assemble_operator, build_grid
+    from fermsim.kinetics import death_phi, rates
+    op = assemble_operator(build_grid(m_min, m_max, 30), dp, 30)
+    assert op.first == first and op.block.shape == (30, 30 - first)
+    C, cells = 30, np.arange(29)
+    D = np.zeros((C, C))
+    D[cells, cells] = op.transport
+    D[cells + 1, cells] = -op.transport
+    rng = np.random.default_rng(17)
+    for _ in range(5):
+        y = random_admissible_state(rng, C)
+        t = rng.uniform(0.0, 20.0)
+        v, _ = rates(kp, *y[C:], temperature(profile, t))
+        loss = death_phi(kp, y[C + 1]) + kp.kd
+        terms = (op.A @ y[:C], v * (D @ y[:C]), loss * y[:C])
+        scale = max(np.max(np.abs(term)) for term in terms)
+        wdot = rhs_vector(t, y, op, kp, profile)[:C]
+        assert np.max(np.abs(wdot - (terms[0] - terms[1] - terms[2]))) <= 1e-14 * scale
+        block = op.A - v * D - loss * np.identity(C)
+        J = jacobian_vector(t, y, op, kp, profile)[:C, :C]
+        assert np.max(np.abs(J - block)) <= 1e-14 * np.max(np.abs(block))
