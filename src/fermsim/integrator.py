@@ -3,20 +3,21 @@
 The stepper is generic: it works on plain numpy vectors given callables
 f(t, y) and J(t, y).  The nonlinear equation per step is
 
-    g(y) = y - y_n - h/2 * (f(t_{n+1}, y) + f(t_n, y_n)) = 0
+    g(y) = (y - y_n) - ((h/2) f(t_{n+1}, y) + (h/2) f(t_n, y_n)) = 0,
 
-solved to max|g| <= tolerance by simplified Newton (Hairer & Wanner,
-*Solving ODEs II*, IV.8).  The iteration matrix N = I - (h/2) J is
-inverted with numpy.linalg.solve, and the inverse M is applied as
-M.dot(g): the same gemv as M @ g, bit for bit, without the matmul ufunc's
-dispatch.  M is frozen across iterations and across steps.  It is rebuilt
-at the current iterate at the first step, when h changes, and whenever
-one iteration shrinks max|g| by less than the factor THETA_MAX = 1e-2.
-RADAU5 uses 1e-3 for small systems and Hairer & Wanner raise it (to
-0.1, say) when a rebuild is costly; 1e-2 serves both models: the
-population balance, whose rebuild is an O(C^3) inversion, and the
-5-state reduced model, where it trades a few rebuilds for a few more
-updates.  f at the accepted iterate is the next step's f(t_n, y_n).
+rounded in that order (y_n + (h/2) f_n first would lose y_n against a
+stiff f, and g could cancel to 0 at a wrong y), solved to max|g| <=
+tolerance by simplified Newton (Hairer & Wanner, *Solving ODEs II*,
+IV.8).  N = I - (h/2) J is inverted with numpy.linalg.solve, and the
+inverse M is applied as M.dot(g): the same gemv as M @ g, bit for bit,
+without the matmul ufunc's dispatch.  M is frozen across iterations and
+across steps.  It is rebuilt at the current iterate at the first step,
+when h changes, and whenever one iteration shrinks max|g| by less than
+the factor THETA_MAX = 1e-2.  RADAU5 uses 1e-3 for small systems and
+Hairer & Wanner raise it (to 0.1, say) when a rebuild is costly; 1e-2
+serves both models: the population balance, whose rebuild is an O(C^3)
+inversion, and the 5-state reduced model, where it trades a few rebuilds
+for a few more updates.  The accepted iterate's f is the next step's f_n.
 
 With ``lead`` = L = 0 the rebuild is one solve of N against the
 identity.  With L > 0 it is block elimination through the Schur
@@ -41,20 +42,22 @@ rule with f(t_{n+1}) extrapolated by the cubic through the last four
 accepted values of f.  While that history fills (first step, after a
 change of h, after a step that restarted) it uses the values it has:
 explicit Euler, then Adams-Bashforth 2, then the quadratic.  The values
-sit in a ring of four rows: an accepted step writes its f over the
-oldest row and moves the head there, and the predictor is one product
-of the ring with a precomputed weight row per (values held, head),
-zero on rows not yet filled or dropped.  The extrapolation alone is
-unstable on stiff modes (on a real mode its root leaves the unit disc
-at h*lambda ~ -0.25 and is -2.9 at the division modes' h*lambda ~
--1.04), so a step never ends at it: a predictor that already meets the
-tolerance is corrected once by the frozen inverse M, y -= M g, without
-a new f call (Shampine 1980), and f there is carried
-as f(y~) - (2/h)(M g - g), exact for f linear with the matrix's J since
-(I - (h/2) J) M = I.  That step records 0 updates; the correction is
-skipped only while no matrix has been built.  The stepper copies what f
-returns before it keeps it and writes into no array that f or J returns,
-so both may hand back one reused buffer.
+sit in a ring of four rows, each (h/2) f: an accepted step writes its
+row over the oldest and moves the head there, a change of h rescales the
+one row it keeps, and the predictor is y_n plus one product of the ring
+with a precomputed weight row per (values held, head), zero on rows not
+yet filled or dropped.  The extrapolation alone is unstable on stiff
+modes (on a real mode its root leaves the unit disc at h*lambda ~ -0.25
+and is -2.9 at the division modes' h*lambda ~ -1.04), so a step never
+ends at it: a predictor that already meets the tolerance is corrected
+once by the frozen inverse M, y -= M g, without a new f call (Shampine
+1980).  Its ring row is (h/2) f(y~) + (g - M g) = y_{n+1} - y_n - (h/2)
+f_n, the trapezoid relation itself, and (h/2) f(y_{n+1}) exactly for f
+linear with the matrix's J, since (I - (h/2) J) M = I.  That step
+records 0 updates; the correction is skipped only while no matrix has
+been built.  The stepper copies what f returns before it keeps it and
+writes into no array that f or J returns, so both may hand back one
+reused buffer.
 
 A step whose iteration diverges with a matrix carried over from an earlier
 step, reaches a non-finite residual (g holds y and f(y), so this is where
@@ -89,8 +92,6 @@ MAX_STEPS = 1_000_000
 
 _STEP_ERRORS = (NumericsError, DomainError, ArithmeticError, np.linalg.LinAlgError)
 
-_max = np.maximum.reduce
-
 #: Rows of f values the predictor extrapolates through.
 _RING = 4
 
@@ -104,9 +105,8 @@ def _ring_row(coeffs, head):
 
 
 #: _WEIGHTS[filled - 1][head] weights the ring's rows for the predictor
-#: y_{n+1} ~ y_n + (h/2) (weights . history): the trapezoid rule with
-#: f(t_{n+1}) extrapolated by the polynomial through the ``filled`` newest
-#: values of f (explicit Euler, AB2, the quadratic, the cubic).
+#: y_n + weights . history: the trapezoid rule with f(t_{n+1}) extrapolated
+#: through the ``filled`` newest f (explicit Euler, AB2, quadratic, cubic).
 _WEIGHTS = tuple(tuple(_ring_row(coeffs, head) for head in range(_RING))
                  for coeffs in ((2.0,), (3.0, -1.0), (4.0, -3.0, 1.0), (5.0, -6.0, 4.0, -1.0)))
 
@@ -144,14 +144,15 @@ class StepState:
     the next.
 
     ``h`` is the size of the last step; ``inverse`` is the frozen inverse
-    of I - (h/2) J; ``history`` is a ring of 4 rows holding f at the last
-    accepted iterates: row ``head`` is the next step's f(t_n, y_n), row
-    head - 1 (mod 4) the f before it, and so on.  ``filled`` counts its
-    valid rows, at most 4: 0 before the first step, 1 after a step that
-    restarted, cut to 1 when h changes.  Rows dropped by a restart or a
-    change of h stay in the ring with predictor weight 0 until they are
-    overwritten.  ``lead`` is the L of the block rebuild in the module
-    docstring; 0 inverts N in one solve.
+    of I - (h/2) J; ``history`` is a ring of 4 rows holding (h/2) f at the
+    last accepted iterates (y_{n+1} - y_n - (h/2) f_n after a corrected
+    predictor): row ``head`` is the next step's (h/2) f_n, row head - 1
+    (mod 4) the one before it.  ``filled`` counts its valid rows, at most
+    4: 0 before the first step, 1 after a step that restarted, cut to 1
+    when h changes and row ``head`` is rescaled.  Rows dropped by a
+    restart or a change of h stay in the ring with predictor weight 0
+    until they are overwritten.  ``lead`` is the L of the block rebuild in
+    the module docstring; 0 inverts N in one solve.
     """
 
     def __init__(self, f, jac, cfg: NewtonConfig, lead: int = 0):
@@ -213,20 +214,20 @@ def trapezoid_step(y_n: np.ndarray, t_n: float, t1: float, h: float, state: Step
     """
     f, cfg = state.f, state.cfg
     tolerance, max_iterations = cfg.tolerance, cfg.max_iterations
+    half_h = 0.5 * h
     if state.h != h:
+        if state.filled:  # the kept row becomes (h_new/2) f_n
+            state.history[state.head] *= h / state.h
         state.h, state.inverse, state.filled = h, None, min(state.filled, 1)
     updates, res, res_prev = 0, math.inf, None
-    half_h = 0.5 * h
     try:
         if not state.filled:
             state.history = np.zeros((_RING, len(y_n)))
-            state.history[0] = f(t_n, y_n)
+            np.multiply(f(t_n, y_n), half_h, out=state.history[0])
             state.head, state.filled = 0, 1
         history, head, filled = state.history, state.head, state.filled
-        f_n = history[head]
-        y = _WEIGHTS[filled - 1][head].dot(history)
-        y *= half_h
-        y += y_n
+        hf_n = history[head]
+        y = _WEIGHTS[filled - 1][head].dot(history) + y_n
     except _STEP_ERRORS as exc:
         raise _failed(f"step failed at t={t1}: {type(exc).__name__}: {exc}",
                       t1, updates, res) from exc
@@ -235,26 +236,25 @@ def trapezoid_step(y_n: np.ndarray, t_n: float, t1: float, h: float, state: Step
     restarted = False
     while True:
         try:
-            f1 = np.asarray(f(t1, y), dtype=float)
-            # g = (y - y_n) - (h/2) (f1 + f_n), rounded in that order
+            f1 = f(t1, y)
+            hf1 = np.multiply(f1, half_h)  # a float copy: f may reuse its output
+            # (y - y_n) - (hf1 + hf_n) in this order: y_n + hf_n loses y_n if f is stiff
             g = y - y_n
-            half_h_f = f1 + f_n
-            half_h_f *= half_h
-            g -= half_h_f
-            # NaN if g holds one, as max would give
-            res = _max(np.abs(g, out=half_h_f))
+            hf_sum = hf1 + hf_n
+            g -= hf_sum
+            a = np.abs(g, out=hf_sum)
+            res = a[a.argmax()]  # argmax picks the first NaN: a NaN in g gives res NaN
             if res <= tolerance:
                 head = (head + 1) % _RING  # the oldest row, or one no weight reads
                 state.head, state.filled = head, 1 if restarted else min(filled + 1, _RING)
                 if updates == 0 and inverse is not None:
-                    # correct the predictor once: y -= M g, f += (2/h)(g - M g)
+                    # correct the predictor once: y -= M g, its row hf1 + (g - M g)
                     correction = inverse.dot(g)
                     y -= correction
                     g -= correction
-                    g /= half_h
-                    np.add(f1, g, out=history[head])
+                    np.add(hf1, g, out=history[head])
                 else:
-                    history[head] = f1
+                    history[head] = hf1
                 return y, StepRecord(t1, updates, res, True)
             if updates >= max_iterations:
                 raise _failed(f"Newton failed at t={t1}: residual {res:.3e} "

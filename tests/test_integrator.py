@@ -57,12 +57,13 @@ def test_single_step_record():
 
 
 def test_stationary_problem_converges_immediately():
+    # signed zeros too: a residual of zeros is accepted as 0
     f = lambda t, y: np.zeros_like(y)
-    jac = lambda t, y: np.zeros((2, 2))
-    y0 = np.array([3.0, 4.0])
+    jac = lambda t, y: np.zeros((4, 4))
+    y0 = np.array([3.0, 4.0, 0.0, -0.0])
     traj = integrate(f, jac, y0, 1.0, 0.25)
     assert np.all(traj.states == y0)
-    assert all(r.newton_iterations == 0 for r in traj.records)
+    assert all(r.newton_iterations == 0 and r.residual_norm == 0.0 for r in traj.records)
 
 
 def test_step_must_divide_horizon():
@@ -498,6 +499,123 @@ def test_dropped_history_gets_no_predictor_weight(drop):
             assert seen[record.t] == pytest.approx(ab2, rel=1e-15)
         t = record.t
     assert abs(y[0]) > 1e3  # the march did go through the large values
+
+
+# --- the ring of (h/2) f and the Newton residual -------------------------------
+
+def stepped(f, jac, y0, h, n_steps):
+    """For each of ``n_steps`` steps of size ``h`` from ``y0`` with one
+    StepState: (y_n, the ring row (h/2) f_n the step read, y_{n+1}, record,
+    state).  Only the row after ``head`` is written by a step of unchanged h."""
+    state, y, t = StepState(f, jac, NewtonConfig()), y0, 0.0
+    for _ in range(n_steps):
+        head = state.head
+        y_n, (y, record) = y, trapezoid_step(y, t, t + h, h, state)
+        yield y_n, state.history[head].copy(), y, record, state
+        t = record.t
+
+
+def logistic_problem():
+    """A nonlinear f with a coupling term: logistic growth of three species."""
+    f = lambda t, y: y * (1.0 - y) + np.array([0.0, 0.5 * y[0] * y[2], -0.5 * y[0] * y[2]])
+    jac = lambda t, y: np.diag(1.0 - 2.0 * y) + np.array(
+        [[0.0, 0.0, 0.0], [0.5 * y[2], 0.0, 0.5 * y[0]], [-0.5 * y[2], 0.0, -0.5 * y[0]]])
+    return f, jac, np.array([0.1, 0.4, 0.8]), 1.0 / 48.0
+
+
+def ode_problem(kp, profile):
+    f = lambda t, y: ode_rhs_vector(t, y, kp, profile)
+    jac = lambda t, y: ode_jacobian_vector(t, y, kp, profile)
+    return f, jac, np.array([0.5, 0.4, 0.0, 193.0, 0.012]), 1.0 / 192.0
+
+
+@pytest.mark.parametrize("problem", ["nonlinear", "ode"])
+def test_a_corrected_row_is_the_trapezoid_relation(kp, profile, problem):
+    # a predictor corrected by the frozen matrix leaves the row
+    # (h/2) f(y~) + (g - M g), which is y_{n+1} - y_n - (h/2) f_n: checked
+    # to 4 ulp of the largest of the three terms, entry by entry
+    f, jac, y0, h = logistic_problem() if problem == "nonlinear" else ode_problem(kp, profile)
+    corrected = 0
+    for y_n, hf_n, y1, record, state in stepped(f, jac, y0, h, 384):
+        assert record.converged
+        if record.newton_iterations == 0 and state.inverse is not None:
+            corrected += 1
+            row = state.history[state.head]
+            scale = np.maximum(np.maximum(np.abs(y1), np.abs(y_n)), np.abs(hf_n))
+            assert np.all(np.abs(row - ((y1 - y_n) - hf_n)) <= 4 * np.spacing(scale)), record.t
+    assert corrected >= 100
+
+
+def test_a_change_of_h_rescales_the_kept_row(kp, profile):
+    # the one row kept across a change of h becomes (h_new/2) f_n: within
+    # 1 ulp of the exact rational row * h_new / h_old
+    from fractions import Fraction
+    f, jac, y0, h = ode_problem(kp, profile)
+    *_, (_, _, y, record, state) = stepped(f, jac, y0, h, 10)
+    head, row = state.head, state.history[state.head].copy()
+    h_new = 1.0 / 100.0
+    trapezoid_step(y, record.t, record.t + h_new, h_new, state)
+    assert state.head != head and state.filled == 2
+    for kept, old in zip(state.history[head], row):
+        exact = Fraction(old) * Fraction(h_new) / Fraction(h)
+        assert abs(Fraction(kept) - exact) <= Fraction(np.spacing(abs(kept)))
+
+
+def test_a_nan_beside_an_inf_residual_fails_the_step():
+    # y_n = (1, inf) and f = (-y[1], 0): the restart from y_n has
+    # g = (+inf, NaN); the residual is NaN, not the inf before it
+    f = lambda t, y: np.array([-y[1], 0.0])
+    jac = lambda t, y: np.zeros((2, 2))
+    with np.errstate(invalid="ignore"), pytest.raises(StepFailure) as excinfo:
+        trapezoid_step(np.array([1.0, np.inf]), 0.0, 0.1, 0.1, StepState(f, jac, NewtonConfig()))
+    assert np.isnan(excinfo.value.record.residual_norm)
+    assert "non-finite Newton residual after 0 iterations: y is non-finite at [1]" \
+        in str(excinfo.value)
+
+
+def test_residual_norm_is_the_max_of_abs_g(monkeypatch):
+    # the residual of every accepted step of a 2-day 60-cell march, taken
+    # with argmax, is np.max(np.abs(g)) bit for bit, g recomputed in the
+    # stepper's order from the last f call of the step
+    from fermsim import integrator
+    from fermsim import simulate as sim
+    step, rhs, calls, checked = integrator.trapezoid_step, sim.rhs_vector, [], []
+
+    def recorded_rhs(t, y, *args):
+        out = rhs(t, y, *args)
+        calls.append((y.copy(), out.copy()))
+        return out
+
+    def recorded_step(y_n, t_n, t1, h, state):
+        head = state.head
+        calls.clear()
+        y1, record = step(y_n, t_n, t1, h, state)
+        y, f1 = calls[-1]
+        g = y - y_n
+        g -= np.multiply(f1, 0.5 * h) + state.history[head]
+        assert record.residual_norm == np.max(np.abs(g)), t1
+        checked.append(t1)
+        return y1, record
+
+    monkeypatch.setattr(sim, "rhs_vector", recorded_rhs)
+    monkeypatch.setattr(integrator, "trapezoid_step", recorded_step)
+    assert two_day_run("ide") == len(checked)
+
+
+def test_a_cancelling_stiff_residual_is_not_accepted():
+    # f = -k y with k = 1e300, h = 1/64: (h/2) f_n and (h/2) f1 are ~1e298
+    # and opposite.  The residual must sum the two (h/2) f terms before
+    # subtracting them from y - y_n: forming y_n + (h/2) f_n first loses
+    # y_n, g cancels to exactly 0 at y = -y_n, and the march "completes"
+    # with a state that flips sign every step
+    k, h = 1e300, 1.0 / 64.0
+    f = lambda t, y: -k * y
+    jac = lambda t, y: np.array([[-k]])
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(StepFailure):
+            trapezoid_step(np.array([1.0]), 0.0, h, h, StepState(f, jac, NewtonConfig()))
+        traj = integrate(f, jac, np.array([1.0]), 0.5, h)
+    assert not traj.completed and len(traj.states) == 1
 
 
 def count_calls(monkeypatch, module, name):
